@@ -20,9 +20,6 @@ Public API tour:
 * :mod:`repro.model` — Theorem 1 (DLWA) and Theorems 2-3 (carbon).
 * :mod:`repro.fleet` — sharded cache cluster: consistent-hash routing,
   shard lifecycle, failure/rebalance, fleet-merged observability.
-* :mod:`repro.kernel` — vectorized fast-path replay kernel (columnar
-  traces, segmented dispatch, opt-out telemetry hooks), bit-identical
-  to the scalar drivers.
 
 Quick start::
 
@@ -32,18 +29,7 @@ Quick start::
     print(result.summary_row())
 """
 
-from . import (
-    bench,
-    cache,
-    core,
-    faults,
-    fdp,
-    fleet,
-    kernel,
-    model,
-    ssd,
-    workloads,
-)
+from . import bench, cache, core, faults, fdp, fleet, model, ssd, workloads
 
 __version__ = "1.0.0"
 
@@ -54,7 +40,6 @@ __all__ = [
     "faults",
     "fdp",
     "fleet",
-    "kernel",
     "model",
     "ssd",
     "workloads",

@@ -1,8 +1,8 @@
 """CacheBench-style trace replayer.
 
 Drives a :class:`~repro.cache.hybrid.HybridCache` with a
-:class:`~repro.workloads.trace.Trace`, closed-loop, while collecting
-the paper's metrics:
+:class:`~repro.workloads.trace.Trace`, closed-loop by default, while
+collecting the paper's metrics:
 
 * a simulated clock advances with each op's completion plus a host
   think time, so throughput and tail latency reflect device
@@ -15,6 +15,10 @@ the paper's metrics:
   the same way the paper polls ``nvme get-log`` every 10 minutes;
 * GETs that miss are optionally *filled* (read-through), which is how
   trace replay produces cache insertions for read-dominant workloads.
+
+:class:`ArrivalClock` decides when each op is issued, closed or open
+loop; the fleet driver (:mod:`repro.fleet.driver`) replays on the same
+clock.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..cache.hybrid import HIT_DRAM, MISS, HybridCache
-from ..workloads.trace import OP_GET, OP_SET, Trace
+from ..workloads.trace import OP_GET, OP_SET, Trace, as_arrival_schedule
 from .metrics import IntervalPoint, LatencyReservoir, RunResult, steady_state_dlwa
 
-__all__ = ["CacheBench", "ReplayConfig"]
+__all__ = ["ArrivalClock", "CacheBench", "ReplayConfig"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +60,7 @@ class ReplayConfig:
     (diurnal waves, flash-crowd spikes).  Precedence: an explicit
     ``arrival_schedule_ns`` wins, then a schedule carried on the trace
     itself (``Trace.arrivals_ns``), then ``arrival_interval_ns``, then
-    the closed loop.
+    the closed loop (see :class:`ArrivalClock`).
     """
 
     fill_on_miss: bool = True
@@ -81,10 +85,74 @@ class ReplayConfig:
                     "arrival_schedule_ns and arrival_interval_ns are "
                     "mutually exclusive"
                 )
-            schedule = np.asarray(self.arrival_schedule_ns, dtype=np.int64)
-            if len(schedule) and bool(np.any(np.diff(schedule) < 0)):
-                raise ValueError("arrival_schedule_ns must be nondecreasing")
+            schedule = as_arrival_schedule(
+                self.arrival_schedule_ns, "arrival_schedule_ns"
+            )
             object.__setattr__(self, "arrival_schedule_ns", schedule)
+
+
+class ArrivalClock:
+    """When each op of one replay is issued: the one copy of that policy.
+
+    Open loop, op ``i`` arrives at :meth:`issue_ns` — from the config's
+    explicit ``arrival_schedule_ns``, else the trace's own
+    ``arrivals_ns``, else every ``arrival_interval_ns``.  Closed loop
+    (none of the three), the next op issues :meth:`after` the previous
+    one completes.  ``first_op`` places this trace on a longer op
+    timeline, so a fixed interval runs on across segmented replays.
+    """
+
+    __slots__ = (
+        "schedule",
+        "interval_ns",
+        "open_loop",
+        "first_op",
+        "think_ns",
+        "max_backlog_ns",
+    )
+
+    def __init__(
+        self, config: ReplayConfig, trace: Trace, *, first_op: int = 0
+    ) -> None:
+        schedule = config.arrival_schedule_ns
+        if schedule is None:
+            schedule = trace.arrivals_ns
+        if schedule is not None and len(schedule) < len(trace):
+            raise ValueError(
+                f"arrival schedule has {len(schedule)} entries for a "
+                f"{len(trace)}-op trace"
+            )
+        self.schedule = schedule
+        self.interval_ns = (
+            config.arrival_interval_ns if schedule is None else None
+        )
+        self.open_loop = schedule is not None or self.interval_ns is not None
+        self.first_op = first_op
+        self.think_ns = config.think_ns
+        self.max_backlog_ns = config.max_backlog_ns
+
+    def issue_ns(self, i: int) -> int:
+        """Open loop: when op ``i`` of the trace arrives.
+
+        The op arrives then however far behind the device is — the
+        regime where overload actually queues.
+        """
+        if self.schedule is not None:
+            return int(self.schedule[i])
+        return (self.first_op + i) * self.interval_ns
+
+    def after(self, done: int, busy_until: Optional[int]) -> int:
+        """Closed loop: when the next op issues, given this one's ``done``.
+
+        The host thinks for ``think_ns``, then stalls while the device
+        timeline (``busy_until``, ``None`` when the backend has none)
+        runs more than ``max_backlog_ns`` ahead: the finite queue in
+        front of the SSD.
+        """
+        now = done + self.think_ns
+        if busy_until is not None and busy_until - now > self.max_backlog_ns:
+            now = busy_until - self.max_backlog_ns
+        return now
 
 
 class CacheBench:
@@ -120,25 +188,15 @@ class CacheBench:
         sizes_arr = trace.sizes
         total = len(trace)
         fill = cfg.fill_on_miss
-        think = cfg.think_ns
-        backlog_cap = cfg.max_backlog_ns
         poll_every = cfg.poll_interval_ops
-        arrival = cfg.arrival_interval_ns
-        schedule = cfg.arrival_schedule_ns
-        if schedule is None and trace.arrivals_ns is not None:
-            schedule = trace.arrivals_ns
-        if schedule is not None and len(schedule) < total:
-            raise ValueError(
-                f"arrival schedule has {len(schedule)} entries for a "
-                f"{total}-op trace"
-            )
+        clock = ArrivalClock(cfg, trace)
+        open_loop = clock.open_loop
+        issue_ns = clock.issue_ns
+        after = clock.after
 
         for i in range(total):
-            if schedule is not None:
-                # Open loop, per-op schedule: the op arrives when the
-                # schedule says, however far behind the device is — the
-                # regime where overload actually queues.
-                now = int(schedule[i])
+            if open_loop:
+                now = issue_ns(i)
             op = ops_arr[i]
             key = int(keys_arr[i])
             if op == OP_GET:
@@ -155,21 +213,8 @@ class CacheBench:
             else:  # OP_DEL
                 done = cache.delete(key, now)
 
-            if schedule is not None:
-                pass  # next iteration reads its own arrival time
-            elif arrival is not None:
-                # Open loop: the next op arrives on the fixed clock no
-                # matter when this one completed (latency soak mode —
-                # identical arrival schedules across arms).
-                now += arrival
-            else:
-                now = done + think
-                # Bounded device backlog: stall the host while the
-                # device is too far behind (finite queue in front of
-                # the SSD).
-                backlog = ftl_latency.busy_until - now
-                if backlog > backlog_cap:
-                    now = ftl_latency.busy_until - backlog_cap
+            if not open_loop:
+                now = after(done, ftl_latency.busy_until)
 
             ops_done += 1
             if ops_done % poll_every == 0:
@@ -188,6 +233,9 @@ class CacheBench:
                 if progress is not None:
                     progress(ops_done, total)
 
+        if clock.interval_ns is not None:
+            # A fixed-rate clock has run on to the next, unissued slot.
+            now = issue_ns(ops_done)
         stats = device.stats
         steady = steady_state_dlwa(series)
         health = device.get_health_log()

@@ -38,7 +38,6 @@ from ..fleet import (
     FleetConfig,
     FleetDriver,
     FleetHealthMonitor,
-    FleetReplayConfig,
     MonitorConfig,
     ShardSpec,
 )
@@ -159,11 +158,7 @@ def _run_arm(
                 latency_floor_ns=GRAY_FLOOR_NS,
             ),
         )
-    driver = (
-        FleetDriver(fleet, FleetReplayConfig(), monitor)
-        if monitor is not None
-        else FleetDriver(fleet, FleetReplayConfig())
-    )
+    driver = FleetDriver(fleet, monitor=monitor)
     windows = {}
     for seg_name, start, stop, measured in segments:
         if stop <= start:

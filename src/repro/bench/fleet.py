@@ -36,7 +36,6 @@ from ..fleet import (
     FleetConfig,
     FleetDriver,
     FleetHealthMonitor,
-    FleetReplayConfig,
     ScriptedShardEvent,
     ShardSpec,
 )
@@ -185,7 +184,7 @@ def run_fleet_soak(
         )
     plan = [ScriptedShardEvent(kill_at + 1, victim, "kill")]
     monitor = FleetHealthMonitor(fleet, plan=plan)
-    driver = FleetDriver(fleet, FleetReplayConfig(), monitor)
+    driver = FleetDriver(fleet, monitor=monitor)
 
     if trace is None:
         per_shard_nvm = int(
@@ -235,7 +234,7 @@ def run_fleet_soak(
     control_fleet = FleetCache(
         [spec.build() for spec in specs], FleetConfig(ring_seed=seed)
     )
-    control_driver = FleetDriver(control_fleet, FleetReplayConfig())
+    control_driver = FleetDriver(control_fleet)
     control_driver.run(trace.slice(0, total - window), name="control:warm")
     before = _counters(control_fleet)
     control_fleet.clear_histograms()

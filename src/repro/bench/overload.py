@@ -50,7 +50,6 @@ from ..fleet import (
     FleetCache,
     FleetConfig,
     FleetDriver,
-    FleetReplayConfig,
     GovernorConfig,
 )
 from ..workloads.adversarial import (
@@ -162,7 +161,7 @@ def _run_arm(
         [spec.build() for spec in specs],
         FleetConfig(ring_seed=seed, governor=governor),
     )
-    driver = FleetDriver(fleet, FleetReplayConfig())
+    driver = FleetDriver(fleet)
     total = len(trace)
     windows: Dict[str, OverloadWindow] = {}
     for name, start, stop, measured in segments:

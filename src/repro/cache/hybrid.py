@@ -318,37 +318,25 @@ class HybridCache:
 
     def get(self, key: int, now_ns: int = 0) -> GetResult:
         """Look up a key across DRAM, SOC, and LOC."""
-        where, item, done = self.get_where(key, now_ns)
-        return GetResult(where, item, done)
-
-    def get_where(self, key: int, now_ns: int = 0):
-        """GET returning a plain ``(where, item, completion_ns)`` tuple.
-
-        The kernel replay loop (:mod:`repro.kernel.replay`) issues
-        millions of GETs and only branches on ``where``; this is the
-        same lookup as :meth:`get` — every counter, promotion, and
-        engine effect included — minus the per-call
-        :class:`GetResult` allocation.
-        """
         self.gets += 1
         if self._admission_observer is not None:
             self._admission_observer.observe_access(key)
         item = self.dram.get(key)
         if item is not None:
             self.hits_by_layer[HIT_DRAM] += 1
-            return HIT_DRAM, item, now_ns + self.config.dram_op_ns
+            return GetResult(HIT_DRAM, item, now_ns + self.config.dram_op_ns)
         self.nvm_gets += 1
         item, done = self.soc.lookup(key, now_ns)
         if item is not None:
             self.hits_by_layer[HIT_SOC] += 1
             self._promote(item, done)  # async: not on the GET's path
-            return HIT_SOC, item, done
+            return GetResult(HIT_SOC, item, done)
         item, done = self.loc.lookup(key, done)
         if item is not None:
             self.hits_by_layer[HIT_LOC] += 1
             self._promote(item, done)  # async: not on the GET's path
-            return HIT_LOC, item, done
-        return MISS, None, done
+            return GetResult(HIT_LOC, item, done)
+        return GetResult(MISS, None, done)
 
     def set(self, key: int, size: int, now_ns: int = 0) -> int:
         """Insert/overwrite an object; returns completion time."""

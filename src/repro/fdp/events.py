@@ -19,7 +19,7 @@ import dataclasses
 import enum
 from typing import Deque, Dict, List, Optional
 
-__all__ = ["FdpEventType", "FdpEvent", "FdpEventLog", "NullEventLog"]
+__all__ = ["FdpEventType", "FdpEvent", "FdpEventLog"]
 
 
 class FdpEventType(enum.Enum):
@@ -70,11 +70,6 @@ class FdpEvent:
 class FdpEventLog:
     """Bounded ring of events with cumulative per-type counters."""
 
-    #: Telemetry hook contract: hot paths may guard event *construction*
-    #: on this flag, so a detached log costs neither the record call nor
-    #: building the FdpEvent it would have recorded.
-    enabled = True
-
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -124,18 +119,3 @@ class FdpEventLog:
             self._counts[t] = 0
             self._pages[t] = 0
 
-
-class NullEventLog(FdpEventLog):
-    """Detached event-log hook: records nothing, reads as empty.
-
-    The kernel fast path (``repro.kernel``) runs with telemetry
-    detached by default; swapping this in keeps every consumer of the
-    log API working (counters read zero, ``recent()`` is empty) while
-    the simulation pays nothing per event.  Hot call sites additionally
-    guard on :attr:`enabled` to skip building the event object at all.
-    """
-
-    enabled = False
-
-    def record(self, event: FdpEvent) -> None:  # noqa: D102 - no-op hook
-        return None

@@ -65,7 +65,7 @@ class PlacementIdentifier:
         Real controllers pack <RG, RUH-index> into the 16-bit DSPEC
         field of the write command; the simulator uses the same flat
         encoding so the I/O layer round-trips through an integer just
-        as the kernel passthru path does.
+        as the Linux NVMe passthru path does.
         """
         if self.ruh_id >= num_ruhs:
             raise ValueError("ruh_id out of range for this configuration")

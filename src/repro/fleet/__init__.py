@@ -26,7 +26,6 @@ The soak harness and CLI live in :mod:`repro.bench.fleet`.
 from .driver import (
     FleetDriver,
     FleetIntervalPoint,
-    FleetReplayConfig,
     FleetRunResult,
     ShardReplaySummary,
     partition_trace,
@@ -62,7 +61,6 @@ __all__ = [
     "FleetHealthMonitor",
     "FleetIntervalPoint",
     "FleetOpResult",
-    "FleetReplayConfig",
     "FleetRunResult",
     "GovernorConfig",
     "GovernorState",

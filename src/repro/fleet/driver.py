@@ -27,8 +27,7 @@ import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..bench.driver import ArrivalClock, ReplayConfig
 from ..workloads.trace import OP_GET, OP_SET, Trace
 from .hashring import ConsistentHashRouter
 from .monitor import FleetHealthMonitor
@@ -36,54 +35,12 @@ from .router import FleetCache
 from .shard import ShardSpec
 
 __all__ = [
-    "FleetReplayConfig",
     "FleetIntervalPoint",
     "FleetRunResult",
     "FleetDriver",
     "ShardReplaySummary",
     "replay_partitioned",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class FleetReplayConfig:
-    """Fleet replay knobs (the CacheBench contract, per shard).
-
-    ``arrival_interval_ns`` / ``arrival_schedule_ns`` switch the fleet
-    replay to **open loop**, mirroring
-    :class:`~repro.bench.driver.ReplayConfig`: ops are issued at their
-    scheduled arrival times regardless of completion, so an overloaded
-    shard's backlog actually grows instead of throttling the trace.  A
-    schedule carried on the trace itself (``Trace.arrivals_ns``) is
-    used when neither knob is set here.
-    """
-
-    fill_on_miss: bool = True
-    think_ns: int = 100_000
-    max_backlog_ns: int = 30_000_000
-    poll_interval_ops: int = 2000
-    arrival_interval_ns: Optional[int] = None
-    arrival_schedule_ns: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.think_ns < 0:
-            raise ValueError("think_ns must be non-negative")
-        if self.max_backlog_ns < 0:
-            raise ValueError("max_backlog_ns must be non-negative")
-        if self.poll_interval_ops <= 0:
-            raise ValueError("poll_interval_ops must be positive")
-        if self.arrival_interval_ns is not None and self.arrival_interval_ns <= 0:
-            raise ValueError("arrival_interval_ns must be positive or None")
-        if self.arrival_schedule_ns is not None:
-            if self.arrival_interval_ns is not None:
-                raise ValueError(
-                    "arrival_schedule_ns and arrival_interval_ns are "
-                    "mutually exclusive"
-                )
-            schedule = np.asarray(self.arrival_schedule_ns, dtype=np.int64)
-            if len(schedule) and bool(np.any(np.diff(schedule) < 0)):
-                raise ValueError("arrival_schedule_ns must be nondecreasing")
-            object.__setattr__(self, "arrival_schedule_ns", schedule)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,37 +77,33 @@ class FleetRunResult:
     transitions: List[dict]
 
 
+#: The fleet default: CacheBench's knobs, but service quality (the
+#: interval series) is sampled every 2000 ops rather than every 50 000.
+FLEET_REPLAY = ReplayConfig(poll_interval_ops=2000)
+
+
 class FleetDriver:
-    """Replays traces against a :class:`FleetCache`, closed-loop."""
+    """Replays traces against a :class:`FleetCache`, closed-loop by default.
+
+    ``config`` is CacheBench's :class:`~repro.bench.driver.ReplayConfig`,
+    applied per shard; its open-loop knobs (or a schedule carried on the
+    trace) issue ops at their arrival times regardless of completion, so
+    an overloaded shard's backlog actually grows.
+    """
 
     def __init__(
         self,
         fleet: FleetCache,
-        config: Optional[FleetReplayConfig] = None,
+        config: Optional[ReplayConfig] = None,
         monitor: Optional[FleetHealthMonitor] = None,
     ) -> None:
         self.fleet = fleet
-        self.config = config or FleetReplayConfig()
+        self.config = config or FLEET_REPLAY
         self.monitor = monitor
         # Cumulative across run() calls, so segment-by-segment replay
         # (the soak's measurement windows) shares one op timeline with
         # the monitor's scripted plan.
         self.ops_done = 0
-
-    def _advance_clock(self, shard_id: Optional[str]) -> None:
-        """CacheBench's closed-loop step on the serving shard's clock."""
-        if shard_id is None:
-            return
-        shard = self.fleet.shards[shard_id]
-        if not shard.alive:
-            return
-        now = shard.clock_ns + self.config.think_ns
-        busy_until = shard.busy_until()
-        if busy_until is not None:
-            backlog = busy_until - now
-            if backlog > self.config.max_backlog_ns:
-                now = busy_until - self.config.max_backlog_ns
-        shard.clock_ns = now
 
     def run(self, trace: Trace, *, name: Optional[str] = None) -> FleetRunResult:
         """Replay ``trace`` through the fleet; returns fleet metrics."""
@@ -163,16 +116,10 @@ class FleetDriver:
         keys_arr = trace.keys
         sizes_arr = trace.sizes
         total = len(trace)
-        schedule = cfg.arrival_schedule_ns
-        if schedule is None and trace.arrivals_ns is not None:
-            schedule = trace.arrivals_ns
-        if schedule is not None and len(schedule) < total:
-            raise ValueError(
-                f"arrival schedule has {len(schedule)} entries for a "
-                f"{total}-op trace"
-            )
-        interval = cfg.arrival_interval_ns
-        open_loop = schedule is not None or interval is not None
+        # first_op: a fixed interval stays continuous across the soak's
+        # segment-by-segment replay.
+        clock = ArrivalClock(cfg, trace, first_op=self.ops_done)
+        open_loop = clock.open_loop
 
         series: List[FleetIntervalPoint] = []
         prev_gets, prev_misses = fleet.gets, fleet.misses
@@ -195,18 +142,8 @@ class FleetDriver:
         for i in range(total):
             op = ops_arr[i]
             key = int(keys_arr[i])
-            if open_loop:
-                # Open loop: the op arrives on its schedule, however
-                # far behind the serving shard's device is.  ops_done
-                # is cumulative, so a fixed interval stays continuous
-                # across the soak's segment-by-segment replay.
-                now = (
-                    int(schedule[i])
-                    if schedule is not None
-                    else self.ops_done * interval
-                )
-            else:
-                now = None
+            # Closed loop (None): each shard issues on its own clock.
+            now = clock.issue_ns(i) if open_loop else None
             if op == OP_GET:
                 result = fleet.get(key, now)
                 served = result.shard_id
@@ -222,8 +159,13 @@ class FleetDriver:
             else:  # OP_DEL
                 served = fleet.delete(key, now).shard_id
 
-            if not open_loop:
-                self._advance_clock(served)
+            if not open_loop and served is not None:
+                # CacheBench's closed-loop step on the serving shard.
+                shard = fleet.shards[served]
+                if shard.alive:
+                    shard.clock_ns = clock.after(
+                        shard.clock_ns, shard.busy_until()
+                    )
             self.ops_done += 1
             if self.monitor is not None:
                 self.monitor.observe(self.ops_done)
@@ -302,11 +244,16 @@ class ShardReplaySummary:
 
 
 def _replay_shard(
-    payload: Tuple[ShardSpec, Trace, FleetReplayConfig],
+    payload: Tuple[ShardSpec, Trace, ReplayConfig],
 ) -> ShardReplaySummary:
-    """Worker body: build the shard locally, replay its partition."""
+    """Worker body: build the shard locally, replay its partition.
+
+    Partitioned replay is closed loop: each op issues
+    :meth:`~repro.bench.driver.ArrivalClock.after` the last.
+    """
     spec, sub_trace, cfg = payload
     shard = spec.build()
+    clock = ArrivalClock(cfg, sub_trace)
     fill = cfg.fill_on_miss
     ops_arr = sub_trace.ops
     keys_arr = sub_trace.keys
@@ -322,13 +269,7 @@ def _replay_shard(
             shard.set(key, int(sizes_arr[i]))
         else:
             shard.delete(key)
-        now = shard.clock_ns + cfg.think_ns
-        busy_until = shard.busy_until()
-        if busy_until is not None:
-            backlog = busy_until - now
-            if backlog > cfg.max_backlog_ns:
-                now = busy_until - cfg.max_backlog_ns
-        shard.clock_ns = now
+        shard.clock_ns = clock.after(shard.clock_ns, shard.busy_until())
     hist = shard.merged_histogram("read")
     host, nand = shard.page_counters()
     return ShardReplaySummary(
@@ -379,7 +320,7 @@ def replay_partitioned(
     trace: Trace,
     *,
     workers: int = 1,
-    config: Optional[FleetReplayConfig] = None,
+    config: Optional[ReplayConfig] = None,
     vnodes: int = 64,
     ring_seed: int = 0,
 ) -> List[ShardReplaySummary]:
@@ -389,7 +330,7 @@ def replay_partitioned(
     ``workers`` value (including serial in-process execution) — the
     partition, not the schedule, defines what each shard replays.
     """
-    cfg = config or FleetReplayConfig()
+    cfg = config or FLEET_REPLAY
     parts = partition_trace(
         specs, trace, vnodes=vnodes, ring_seed=ring_seed
     )

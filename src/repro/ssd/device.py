@@ -25,11 +25,11 @@ from ..faults.failslow import FailSlowConfig, FailSlowModel
 from ..faults.latent import LatentErrorConfig, LatentErrorModel
 from ..faults.model import FaultConfig, FaultModel, HealthLogPage
 from ..fdp.config import FdpConfiguration, default_configuration
-from ..fdp.events import FdpEventLog, NullEventLog
+from ..fdp.events import FdpEventLog
 from ..fdp.logpage import FdpStatisticsLogPage
 from ..fdp.ruh import PlacementIdentifier
 from .batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand
-from .energy import EnergyCosts, EnergyModel, NullEnergyModel
+from .energy import EnergyCosts, EnergyModel
 from .errors import MediaError, QueueFullError
 from .ftl import Ftl
 from .geometry import Geometry
@@ -102,7 +102,6 @@ class SimulatedSSD:
         scrub: "ScrubConfig | PatrolScrubber | bool | None" = None,
         sched: "SchedConfig | bool | None" = None,
         failslow: "FailSlowConfig | FailSlowModel | None" = None,
-        telemetry: bool = True,
     ) -> None:
         self.geometry = geometry
         if fdp is True:
@@ -133,13 +132,6 @@ class SimulatedSSD:
                 "(or a SchedConfig) to attach one"
             )
         self._failslow_spec = failslow
-        # Telemetry hooks (event log + energy ledger) are opt-out: with
-        # telemetry=False the device runs with detached null hooks that
-        # record nothing and cost nothing per op (the kernel fast
-        # path's configuration).  Core simulation state — mapping, OOB,
-        # journal, DeviceStats — is never detached.  The choice
-        # survives format() because _new_ftl rebuilds from it.
-        self._telemetry = telemetry
         self.ftl = self._new_ftl()
 
     def _new_fault_model(self) -> Optional[FaultModel]:
@@ -197,12 +189,8 @@ class SimulatedSSD:
             self.geometry,
             self.fdp_config,
             latency=LatencyModel(self._timings),
-            energy=(
-                EnergyModel(self._energy_costs)
-                if self._telemetry
-                else NullEnergyModel(self._energy_costs)
-            ),
-            events=FdpEventLog() if self._telemetry else NullEventLog(),
+            energy=EnergyModel(self._energy_costs),
+            events=FdpEventLog(),
             stats=DeviceStats(),
             gc_reserve_superblocks=self._gc_reserve,
             gc_victim_sample=self._gc_victim_sample,
@@ -267,37 +255,6 @@ class SimulatedSSD:
         if npages <= 0:
             raise ValueError("npages must be positive")
         return self.ftl.write_range(lba, npages, pid, now_ns, payload)
-
-    def write_arrays(
-        self,
-        lbas: Sequence[int],
-        npages: Sequence[int],
-        pid: Optional[PlacementIdentifier] = None,
-        now_ns: int = 0,
-        payloads: Optional[Sequence[object]] = None,
-    ) -> List[int]:
-        """Write a whole command array in one call (the kernel fast path).
-
-        ``lbas[i]``/``npages[i]`` (and optionally ``payloads[i]``)
-        describe command *i*.  Commands run closed-loop — each issued at
-        the previous one's completion, starting at ``now_ns`` — and the
-        per-command completion times come back as a list, so
-
-        >>> dones = device.write_arrays(lbas, npages, now_ns=t0)
-
-        is bit-identical (state, telemetry, and timing) to threading
-        ``t = device.write(lbas[i], npages[i], pid, t)`` per command,
-        just without the per-command Python overhead.  See
-        :meth:`repro.ssd.ftl.Ftl.write_arrays` for the equivalence
-        argument; on devices resolved to the scalar path (fault
-        injection attached) the same loop semantics apply, including
-        exception behaviour.
-        """
-        if len(lbas) != len(npages):
-            raise ValueError("lbas and npages must have equal length")
-        if payloads is not None and len(payloads) != len(lbas):
-            raise ValueError("payloads must match lbas in length")
-        return self.ftl.write_arrays(lbas, npages, pid, now_ns, payloads)
 
     def read(self, lba: int, npages: int = 1, now_ns: int = 0) -> Tuple[bool, int]:
         """Read ``npages`` from ``lba``.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 
-__all__ = ["EnergyCosts", "EnergyModel", "NullEnergyModel"]
+__all__ = ["EnergyCosts", "EnergyModel"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,10 +37,6 @@ class EnergyCosts:
 
 class EnergyModel:
     """Accumulates NAND operation counts and converts them to energy."""
-
-    #: Telemetry hook contract (see FdpEventLog.enabled): hot paths may
-    #: skip ledger calls entirely when the model is detached.
-    enabled = True
 
     __slots__ = ("costs", "page_reads", "page_programs", "block_erases")
 
@@ -85,32 +81,3 @@ class EnergyModel:
         """Total energy in kilowatt-hours (for the carbon model)."""
         return self.total_energy_j(total_ns, busy_ns) / 3.6e6
 
-
-class NullEnergyModel(EnergyModel):
-    """Detached energy-ledger hook: counts nothing, reads as zero.
-
-    Swapped in when the device runs with telemetry detached (the
-    kernel fast path's default); the API surface stays intact so the
-    carbon model and stats reporting keep working, but every ledger
-    update is a no-op and all energy reads are 0.
-    """
-
-    enabled = False
-
-    def add_reads(self, n: int) -> None:
-        return None
-
-    def add_programs(self, n: int) -> None:
-        return None
-
-    def add_erases(self, n: int) -> None:
-        return None
-
-    def active_energy_j(self) -> float:
-        return 0.0
-
-    def idle_energy_j(self, total_ns: int, busy_ns: int) -> float:
-        return 0.0
-
-    def total_energy_j(self, total_ns: int, busy_ns: int) -> float:
-        return 0.0

@@ -30,8 +30,6 @@ from array import array
 from bisect import bisect_left, insort
 from typing import Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from typing import TYPE_CHECKING
 
 from ..fdp.config import FdpConfiguration
@@ -127,39 +125,6 @@ class _InflightWrite:
 
     def __setstate__(self, state) -> None:
         self.lba, self.npages, self.ppns, self.ack_ns = state
-
-
-def _consume_ppns(pend: List[List[int]], npages: int) -> List[int]:
-    """Take ``npages`` physical pages from the front of ``pend``.
-
-    ``pend`` holds ``[ppn_start, count]`` runs of mapped-but-unacked
-    pages in program order; the kernel write path consumes them
-    command by command to build each command's in-flight ppn list.
-    """
-    first = pend[0]
-    start, count = first
-    if count > npages:
-        first[0] = start + npages
-        first[1] = count - npages
-        return list(range(start, start + npages))
-    if count == npages:
-        del pend[0]
-        return list(range(start, start + npages))
-    ppns = list(range(start, start + count))
-    del pend[0]
-    npages -= count
-    while npages:
-        first = pend[0]
-        start, count = first
-        if count > npages:
-            first[0] = start + npages
-            first[1] = count - npages
-            ppns.extend(range(start, start + npages))
-            return ppns
-        del pend[0]
-        ppns.extend(range(start, start + count))
-        npages -= count
-    return ppns
 
 
 class Ftl:
@@ -473,17 +438,16 @@ class Ftl:
         insort(self._closed, sb.index)
         if not sb.valid_pages:
             insort(self._zero_closed, sb.index)
-        if self.events.enabled:
-            rg, ruh = stream[1], stream[2]
-            self.events.record(
-                FdpEvent(
-                    FdpEventType.RU_SWITCHED,
-                    timestamp_ns=now_ns,
-                    ruh_id=ruh,
-                    reclaim_group=rg,
-                    superblock=sb.index,
-                )
+        rg, ruh = stream[1], stream[2]
+        self.events.record(
+            FdpEvent(
+                FdpEventType.RU_SWITCHED,
+                timestamp_ns=now_ns,
+                ruh_id=ruh,
+                reclaim_group=rg,
+                superblock=sb.index,
             )
+        )
 
     def _program_into(
         self,
@@ -661,15 +625,14 @@ class Ftl:
             self.stats.gc_pages_read += migrated
             self.stats.gc_pages_migrated += migrated
             self.stats.nand_pages_written += migrated
-            if self.events.enabled:
-                self.events.record(
-                    FdpEvent(
-                        FdpEventType.MEDIA_RELOCATED,
-                        timestamp_ns=now_ns,
-                        pages=migrated,
-                        superblock=victim.index,
-                    )
+            self.events.record(
+                FdpEvent(
+                    FdpEventType.MEDIA_RELOCATED,
+                    timestamp_ns=now_ns,
+                    pages=migrated,
+                    superblock=victim.index,
                 )
+            )
 
         if victim.valid_pages != 0:
             raise RuntimeError(
@@ -1171,267 +1134,6 @@ class Ftl:
         self._inflight.append(_InflightWrite(lba, npages, ppns, done))
         self._maybe_checkpoint()
         return done
-
-    def write_arrays(
-        self,
-        lbas,
-        npages_seq,
-        pid: Optional[PlacementIdentifier] = None,
-        now_ns: int = 0,
-        payloads=None,
-    ) -> List[int]:
-        """Write a whole array of commands in one call (kernel fast path).
-
-        ``lbas[i]`` / ``npages_seq[i]`` describe command *i*; commands
-        are issued **closed-loop**: command 0 at ``now_ns`` and each
-        subsequent command at the previous command's completion time,
-        exactly as a queue-depth-1 caller threading ``now =
-        write_range(...)`` would.  Returns the per-command completion
-        times (the last entry is the batch's final clock).
-
-        Bit-identical to that scalar threading by construction: every
-        per-command effect — scrubber steps, stream resolution, GC
-        ordering, per-page OOB/journal trail, sequence numbers, latency
-        charges, the in-flight tear window, checkpoint cadence — happens
-        in the same order at the same simulated times.  The speed comes
-        from three amortizations: one call frame for the whole array
-        with hot state in locals, columnar OOB slice fills
-        (:meth:`~repro.ssd.oob.OobStore.fill_run`) instead of one record
-        object per page, and *run coalescing* — consecutive commands
-        whose LBA ranges are contiguous (and share one payload object)
-        are mapped as a single logical extent, so the mapping, OOB and
-        journal work is paid per reclaim-unit chunk rather than per
-        command.
-
-        Coalescing preserves scalar order exactly because nothing
-        observable happens between two adjacent contiguous commands:
-
-        * GC (which charges the latency clock, consumes the victim RNG
-          and records events) only triggers at superblock allocation,
-          and allocations happen at the same page positions either way;
-          the ``now`` passed to GC / ``RU_SWITCHED`` closes is the one
-          of the command owning the triggering page, which the ack
-          interleaving below reproduces.
-        * Latency acks stay strictly per command, in order, threading
-          ``now``; a command is acked the moment its last page is
-          mapped (after the close *it* triggered, before any later
-          command's allocation).
-        * A coalesced run never extends past the command that crosses
-          the checkpoint threshold, so the per-command
-          ``_maybe_checkpoint`` cadence is unchanged.
-
-        Runs break at scrubber-attached devices (the per-command
-        ``maybe_step`` may relocate pages between commands), at
-        non-contiguous LBAs, and at payload changes.
-
-        Devices that resolved to the scalar path (fault injection, a
-        write-corrupting latent model, ``io_path="scalar"``) take the
-        per-command loop so per-page hooks still fire; media errors and
-        power cuts then propagate exactly as :meth:`write_range` raises
-        them, with earlier commands' effects in place.
-        """
-        n = len(lbas)
-        if payloads is None:
-            payloads = [None] * n
-        dones: List[int] = []
-        if not self._fast_path:
-            now = now_ns
-            for i in range(n):
-                now = self.write_range(
-                    lbas[i], npages_seq[i], pid, now, payloads[i]
-                )
-                dones.append(now)
-            return dones
-
-        # -- hoisted hot state (fault-free extent path) ----------------
-        self._check_online()
-        stream = self._host_stream(pid)
-        is_host = stream[0] == HOST_STREAM
-        l2p = self._l2p
-        p2l = self._p2l
-        # Zero-copy numpy views over the mapping tables: installing a
-        # chunk's arithmetic ppn/lba ramps via np.arange assignment is
-        # ~10x cheaper than constructing an array.array from a range
-        # (which converts element by element at Python level).  The
-        # views alias the arrays' buffers, so scalar reads/writes
-        # elsewhere (GC migration, reads, recovery) observe every
-        # update; they are rebuilt per call because recovery may
-        # replace the arrays between calls.
-        l2p_np = np.frombuffer(l2p, dtype=np.intc)
-        p2l_np = np.frombuffer(p2l, dtype=np.intc)
-        oob_fill = self._oob.fill_run
-        superblocks = self.superblocks
-        pps = self._pps
-        write_points = self._write_points
-        journal_run = self._journal.append_run
-        stats = self.stats
-        shp = self.stream_host_pages
-        host_write = self.latency.host_write
-        inflight_append = self._inflight.append
-        energy_programs = self.energy.add_programs
-        scrubber = self.scrubber
-        protect = self._protect
-        logical_pages = self.geometry.logical_pages
-        ckpt_interval = self.checkpoint_interval_pages
-        dones_append = dones.append
-        now = now_ns
-
-        i = 0
-        while i < n:
-            lba = lbas[i]
-            npages = npages_seq[i]
-            if npages <= 0:
-                raise ValueError("npages must be positive")
-            if lba < 0 or lba + npages > logical_pages:
-                self._check_lba(lba)
-                self._check_lba(lba + npages - 1)
-            payload = payloads[i]
-
-            # Plan a coalesced run [i, j): commands with contiguous LBA
-            # ranges sharing one payload object.  The run stops *after*
-            # the first command that crosses the checkpoint threshold
-            # (it becomes the run's last command), so only the final
-            # ack can trip _maybe_checkpoint — same as scalar.  A
-            # command that would fail validation is never included; it
-            # raises on its own turn with all prior effects in place.
-            j = i + 1
-            run_pages = npages
-            ends = [lba + npages]
-            if scrubber is not None:
-                # Scrub steps between commands can relocate pages, so
-                # commands must be processed one at a time.
-                scrubber.maybe_step(self, now)
-            else:
-                budget = ckpt_interval - self._pages_since_checkpoint
-                while j < n and run_pages < budget:
-                    nxt = npages_seq[j]
-                    if (
-                        nxt <= 0
-                        or lbas[j] != lba + run_pages
-                        or lba + run_pages + nxt > logical_pages
-                        or payloads[j] is not payload
-                    ):
-                        break
-                    run_pages += nxt
-                    ends.append(lba + run_pages)
-                    j += 1
-
-            crc = payload_crc(payload) if protect else None
-            k = i  # next command to ack
-            pend: List[List[int]] = []  # mapped, unacked [ppn_start, count]
-            cur = lba
-            end = lba + run_pages
-            while cur < end:
-                sb = write_points.get(stream)
-                if sb is None:
-                    # Scalar-path order: the allocating page invalidates
-                    # its old mapping first, then GC runs.
-                    old = l2p[cur]
-                    if old >= 0:
-                        sbo = superblocks[old // pps]
-                        sbo.valid_pages -= 1
-                        if (
-                            not sbo.valid_pages
-                            and sbo.state is SuperblockState.CLOSED
-                        ):
-                            insort(self._zero_closed, sbo.index)
-                        l2p[cur] = -1
-                    if is_host:
-                        self._collect_until_reserve(now)
-                    sb = self._pop_free(stream)
-                    write_points[stream] = sb
-                chunk = end - cur
-                room = pps - sb.write_ptr
-                if chunk > room:
-                    chunk = room
-                base = sb.index * pps + sb.write_ptr
-                # Invalidate the chunk's old mappings.  The decrement
-                # order within a chunk is unobservable (no GC can fire
-                # mid-chunk), so the per-superblock counts come from
-                # one vectorized groupby instead of a per-page loop.
-                old = l2p_np[cur : cur + chunk]
-                valid = old[old >= 0]
-                if valid.size:
-                    blocks = valid // pps
-                    bmin = int(blocks.min())
-                    bmax = int(blocks.max())
-                    if bmin == bmax:
-                        sbo = superblocks[bmin]
-                        sbo.valid_pages -= valid.size
-                        if (
-                            not sbo.valid_pages
-                            and sbo.state is SuperblockState.CLOSED
-                        ):
-                            insort(self._zero_closed, bmin)
-                    else:
-                        counts = np.bincount(blocks - bmin)
-                        for off, c in enumerate(counts.tolist()):
-                            if c:
-                                sbo = superblocks[bmin + off]
-                                sbo.valid_pages -= c
-                                if (
-                                    not sbo.valid_pages
-                                    and sbo.state
-                                    is SuperblockState.CLOSED
-                                ):
-                                    insort(self._zero_closed, sbo.index)
-                l2p_np[cur : cur + chunk] = np.arange(
-                    base, base + chunk, dtype=np.intc
-                )
-                p2l_np[base : base + chunk] = np.arange(
-                    cur, cur + chunk, dtype=np.intc
-                )
-                seq = self._seq
-                oob_fill(base, chunk, cur, seq + 1, stream, payload, crc)
-                journal_run(seq + 1, cur, base, chunk)
-                self._seq = seq + chunk
-                sb.write_ptr += chunk
-                sb.valid_pages += chunk
-                stats.host_pages_written += chunk
-                stats.nand_pages_written += chunk
-                energy_programs(chunk)
-                shp[stream] = shp.get(stream, 0) + chunk
-                self._pages_since_checkpoint += chunk
-                cur += chunk
-                pend.append([base, chunk])
-                filled = sb.write_ptr == pps
-                # Ack (latency charge, in-flight entry) every command
-                # whose pages are now fully mapped — in order, threading
-                # `now`.  A command ending exactly at this position acks
-                # *after* the close its final page triggered, which is
-                # where the scalar loop puts it.
-                while k < j:
-                    ce = ends[k - i]
-                    if ce > cur or (ce == cur and filled):
-                        break
-                    npk = npages_seq[k]
-                    done = host_write(now, npk)
-                    inflight_append(
-                        _InflightWrite(
-                            ce - npk, npk, _consume_ppns(pend, npk), done
-                        )
-                    )
-                    dones_append(done)
-                    now = done
-                    k += 1
-                if filled:
-                    self._close_write_point(stream, now)
-                    if k < j and ends[k - i] == cur:
-                        npk = npages_seq[k]
-                        done = host_write(now, npk)
-                        inflight_append(
-                            _InflightWrite(
-                                cur - npk, npk, _consume_ppns(pend, npk), done
-                            )
-                        )
-                        dones_append(done)
-                        now = done
-                        k += 1
-            if self._pages_since_checkpoint >= ckpt_interval:
-                self._pages_since_checkpoint = 0
-                self._take_checkpoint()
-            i = j
-        return dones
 
     def read(self, lba: int, now_ns: int = 0) -> Tuple[bool, int]:
         """Read one page.

@@ -7,9 +7,8 @@ that *constructing* one Python record object per programmed page was
 the single largest cost of a multi-page write (≈6x the cost of the
 actual mapping updates).  This module replaces the record list with a
 struct-of-arrays store: seven parallel columns (mapped flag, LBA,
-sequence number, stream, payload, integrity bit, CRC), so programming a
-contiguous run of pages is seven C-level slice fills instead of one
-Python object per page.
+sequence number, stream, payload, integrity bit, CRC), so no Python
+object is kept per page.
 
 Compatibility is preserved exactly:
 
@@ -24,17 +23,13 @@ Compatibility is preserved exactly:
 * Iteration and ``len()`` behave like the old list, so differential
   tests imaging the whole OOB area run unchanged.
 
-The fast paths are :meth:`OobStore.fill_run` (program ``count``
-consecutive pages whose LBA and sequence number each advance by one —
-seven slice stores total) and :meth:`OobStore.clear_range` (erase wipe).
+The fast path is :meth:`OobStore.clear_range` (erase wipe).
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import List, Optional
-
-import numpy as np
 
 from .recovery import OobRecord
 
@@ -129,8 +124,6 @@ class OobStore:
         "_payload",
         "_ok",
         "_crc",
-        "_lba_np",
-        "_seq_np",
     )
 
     def __init__(self, total_pages: int) -> None:
@@ -143,16 +136,6 @@ class OobStore:
         self._payload: List[object] = [None] * total_pages
         self._ok = bytearray(total_pages)
         self._crc: List[Optional[int]] = [None] * total_pages
-        self._init_views()
-
-    def _init_views(self) -> None:
-        # Zero-copy numpy views over the lba/seq columns: fill_run
-        # writes arithmetic ramps through these (np.arange assignment)
-        # because constructing an array.array from a range pays a
-        # Python-level per-element conversion loop.  The arrays never
-        # resize, so the views stay valid for the store's lifetime.
-        self._lba_np = np.frombuffer(self._lba, dtype=np.intc)
-        self._seq_np = np.frombuffer(self._seq, dtype=np.longlong)
 
     # -- list-compatible surface --------------------------------------
 
@@ -196,38 +179,7 @@ class OobStore:
         for ppn in range(self._total):
             yield OobView(self, ppn) if mapped[ppn] else None
 
-    # -- fast paths ----------------------------------------------------
-
-    def fill_run(
-        self,
-        base: int,
-        count: int,
-        lba_start: int,
-        seq_start: int,
-        stream: object,
-        payload: object,
-        crc: Optional[int],
-    ) -> None:
-        """Program ``count`` consecutive pages in seven slice stores.
-
-        Equivalent to assigning ``OobRecord(lba_start + i, seq_start +
-        i, stream, payload, True, crc)`` at ``base + i`` for each page —
-        the extent fast path's per-chunk OOB deposit without the
-        per-page object construction.
-        """
-        end = base + count
-        ones = b"\x01" * count
-        self._mapped[base:end] = ones
-        self._lba_np[base:end] = np.arange(
-            lba_start, lba_start + count, dtype=np.intc
-        )
-        self._seq_np[base:end] = np.arange(
-            seq_start, seq_start + count, dtype=np.longlong
-        )
-        self._stream[base:end] = [stream] * count
-        self._payload[base:end] = [payload] * count
-        self._ok[base:end] = ones
-        self._crc[base:end] = [crc] * count
+    # -- fast path -----------------------------------------------------
 
     def clear_range(self, base: int, count: int) -> None:
         """Erase wipe: return ``count`` pages to the unprogrammed state."""
@@ -237,30 +189,3 @@ class OobStore:
         self._stream[base:end] = [None] * count
         self._payload[base:end] = [None] * count
         self._crc[base:end] = [None] * count
-
-    # -- persistence ---------------------------------------------------
-
-    def __getstate__(self):
-        return (
-            self._total,
-            self._mapped,
-            self._lba,
-            self._seq,
-            self._stream,
-            self._payload,
-            self._ok,
-            self._crc,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self._total,
-            self._mapped,
-            self._lba,
-            self._seq,
-            self._stream,
-            self._payload,
-            self._ok,
-            self._crc,
-        ) = state
-        self._init_views()

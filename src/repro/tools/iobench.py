@@ -1,10 +1,8 @@
 """fio-style micro-benchmark for the simulated device's write paths.
 
 Measures raw FTL submission throughput (simulator wall-clock, not
-simulated time) for the four ways a host can push the same pages:
+simulated time) for the three ways a host can push the same pages:
 
-* ``kernel``    — whole op arrays down ``write_arrays`` with telemetry
-  hooks detached (the ``repro.kernel`` fast-path configuration);
 * ``batched``   — multi-page commands down the extent fast path;
 * ``scalar``    — the same multi-page commands forced through the
   reference per-page loop (``io_path="scalar"``);
@@ -12,13 +10,10 @@ simulated time) for the four ways a host can push the same pages:
   caller pattern.
 
 The batched-vs-per-page ratio is the speedup the batching PR claims
-(benchmarks/test_batch_throughput.py asserts it stays >= 3x); the
-kernel-vs-batched ratio is the vectorized-kernel claim
-(benchmarks/test_kernel_throughput.py asserts it stays >= 3x)::
+(benchmarks/test_batch_throughput.py asserts it stays >= 3x)::
 
     python -m repro.tools.iobench
     python -m repro.tools.iobench --commands 20000 --npages 32
-    python -m repro.tools.iobench --smoke   # quick CI guard sizing
 """
 
 from __future__ import annotations
@@ -35,9 +30,7 @@ from ..ssd.geometry import Geometry
 __all__ = ["run_case", "main"]
 
 
-def _build_device(
-    io_path: str, num_superblocks: int, *, telemetry: bool = True
-) -> SimulatedSSD:
+def _build_device(io_path: str, num_superblocks: int) -> SimulatedSSD:
     geometry = Geometry(
         page_size=4096,
         pages_per_block=32,
@@ -46,9 +39,7 @@ def _build_device(
         num_superblocks=num_superblocks,
         op_fraction=0.07,
     )
-    return SimulatedSSD(
-        geometry, fdp=True, io_path=io_path, telemetry=telemetry
-    )
+    return SimulatedSSD(geometry, fdp=True, io_path=io_path)
 
 
 def run_case(
@@ -61,7 +52,6 @@ def run_case(
     num_superblocks: int = 256,
     split: bool = False,
     pattern: str = "seq",
-    arrays: bool = False,
 ) -> Dict[str, object]:
     """Time one submission pattern; returns pages/s and DLWA.
 
@@ -70,11 +60,6 @@ def run_case(
     and total pages — is identical either way, so the simulated media
     state matches across cases and only host-side CPU cost differs.
 
-    ``arrays=True`` submits the whole command stream in one
-    ``write_arrays`` call with telemetry hooks detached — the
-    ``repro.kernel`` configuration.  The command stream is still
-    identical, so DLWA matches the other cases exactly.
-
     ``pattern="seq"`` wraps sequentially through the logical space
     (the LOC region-flush pattern, DLWA ~1: submission cost dominates,
     which is what batching accelerates).  ``pattern="rand"`` overwrites
@@ -82,7 +67,7 @@ def run_case(
     per-page GC migration, which the batched submission path does not
     claim to speed up.
     """
-    device = _build_device(io_path, num_superblocks, telemetry=not arrays)
+    device = _build_device(io_path, num_superblocks)
     geometry = device.geometry
     if pattern == "seq":
         span = geometry.logical_pages
@@ -110,9 +95,7 @@ def run_case(
     gc.disable()
     try:
         start = time.perf_counter()
-        if arrays:
-            device.write_arrays(lbas, [npages] * commands, now_ns=now)
-        elif split:
+        if split:
             for lba in lbas:
                 for i in range(npages):
                     now = device.write(lba + i, 1, now_ns=now)
@@ -146,32 +129,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--pattern", choices=("seq", "rand"), default="seq",
         help="seq = LOC-like wrap (default); rand = GC-bound overwrites",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI sizing: 3000 commands, kernel + batched cases only",
-    )
     args = parser.parse_args(argv)
-    commands = 3_000 if args.smoke else args.commands
     kwargs = dict(
-        commands=commands, npages=args.npages, seed=args.seed,
+        commands=args.commands, npages=args.npages, seed=args.seed,
         num_superblocks=args.superblocks, pattern=args.pattern,
     )
     cases = [
-        run_case("kernel", "batched", arrays=True, **kwargs),
         run_case("batched", "batched", **kwargs),
+        run_case("scalar", "scalar", **kwargs),
+        run_case("per-page", "scalar", split=True, **kwargs),
     ]
-    if not args.smoke:
-        cases.extend(
-            [
-                run_case("scalar", "scalar", **kwargs),
-                run_case("per-page", "scalar", split=True, **kwargs),
-            ]
-        )
     baseline = cases[-1]["pages_per_s"]
-    base_label = f"vs {cases[-1]['label']}"
     print(
         f"{'case':<10} {'pages':>10} {'wall(s)':>8} {'Mpages/s':>9} "
-        f"{'DLWA':>6} {base_label:>12}"
+        f"{'DLWA':>6} {'vs per-page':>12}"
     )
     for case in cases:
         rate = case["pages_per_s"]

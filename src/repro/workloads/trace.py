@@ -23,7 +23,15 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["OP_GET", "OP_SET", "OP_DEL", "OP_NAMES", "Trace", "Request"]
+__all__ = [
+    "OP_GET",
+    "OP_SET",
+    "OP_DEL",
+    "OP_NAMES",
+    "Trace",
+    "Request",
+    "as_arrival_schedule",
+]
 
 OP_GET = 0
 OP_SET = 1
@@ -32,6 +40,22 @@ OP_NAMES = {OP_GET: "get", OP_SET: "set", OP_DEL: "del"}
 _OP_CODES = {name: code for code, name in OP_NAMES.items()}
 
 Request = Tuple[int, int, int]  # (op, key, size)
+
+
+def as_arrival_schedule(values, name: str) -> np.ndarray:
+    """``values`` as an int64 arrival schedule, or ``ValueError``.
+
+    A schedule is 1-D, non-negative and nondecreasing; ``name`` labels
+    the error.  Traces and replay configs validate schedules here.
+    """
+    schedule = np.asarray(values, dtype=np.int64)
+    if schedule.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if len(schedule) and (
+        int(schedule[0]) < 0 or bool(np.any(np.diff(schedule) < 0))
+    ):
+        raise ValueError(f"{name} must be non-negative and nondecreasing")
+    return schedule
 
 
 @dataclasses.dataclass
@@ -73,16 +97,11 @@ class Trace:
         if bad:
             raise ValueError(f"unknown op codes: {sorted(bad)}")
         if self.arrivals_ns is not None:
-            self.arrivals_ns = np.asarray(self.arrivals_ns, dtype=np.int64)
+            self.arrivals_ns = as_arrival_schedule(
+                self.arrivals_ns, "arrivals_ns"
+            )
             if len(self.arrivals_ns) != len(self.ops):
                 raise ValueError("arrivals_ns must match the op count")
-            if len(self.arrivals_ns) and (
-                int(self.arrivals_ns[0]) < 0
-                or bool(np.any(np.diff(self.arrivals_ns) < 0))
-            ):
-                raise ValueError(
-                    "arrivals_ns must be non-negative and nondecreasing"
-                )
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -336,5 +336,12 @@ def test_replay_config_schedule_validation():
         )
     with pytest.raises(ValueError, match="nondecreasing"):
         ReplayConfig(arrival_schedule_ns=np.array([5, 1], dtype=np.int64))
+    # The same rules as Trace.arrivals_ns: non-negative and 1-D too.
+    with pytest.raises(ValueError, match="non-negative"):
+        ReplayConfig(arrival_schedule_ns=np.array([-5, 1]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ReplayConfig(arrival_schedule_ns=np.array([[1, 2], [3, 4]]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ReplayConfig(arrival_schedule_ns=np.int64(7))
     cfg = ReplayConfig(arrival_schedule_ns=np.array([1, 5], dtype=np.int64))
     assert cfg.arrival_schedule_ns.dtype == np.int64

@@ -20,12 +20,7 @@ import pytest
 
 from repro.bench.driver import CacheBench, ReplayConfig
 from repro.bench.runner import Scale, build_experiment, make_trace
-from repro.fleet import (
-    FleetCache,
-    FleetDriver,
-    FleetReplayConfig,
-    ShardSpec,
-)
+from repro.fleet import FleetCache, FleetDriver, ShardSpec
 from tests.test_differential_batch import assert_identical
 
 TINY = Scale(num_superblocks=32, num_ops=4_000)
@@ -53,7 +48,7 @@ def _fleet_run(fdp, trace):
         scale=TINY,
     ).build()
     fleet = FleetCache([shard])
-    result = FleetDriver(fleet, FleetReplayConfig()).run(trace)
+    result = FleetDriver(fleet).run(trace)
     return shard, fleet, result
 
 
@@ -117,6 +112,6 @@ def _fleet_run_no_fill(fdp, trace):
     ).build()
     fleet = FleetCache([shard])
     result = FleetDriver(
-        fleet, FleetReplayConfig(fill_on_miss=False)
+        fleet, ReplayConfig(fill_on_miss=False, poll_interval_ops=2000)
     ).run(trace)
     return shard, fleet, result

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.driver import ReplayConfig
 from repro.bench.overload import (
     make_crowd_trace,
     matrix_points,
@@ -31,7 +32,6 @@ from repro.fleet import (
     FleetCache,
     FleetConfig,
     FleetDriver,
-    FleetReplayConfig,
     GovernorConfig,
     ShardSpec,
 )
@@ -55,7 +55,7 @@ def _run(trace, governor):
         for i in range(2)
     ]
     fleet = FleetCache(shards, FleetConfig(ring_seed=7, governor=governor))
-    FleetDriver(fleet, FleetReplayConfig()).run(trace)
+    FleetDriver(fleet).run(trace)
     return fleet
 
 
@@ -170,13 +170,13 @@ def test_fleet_driver_open_loop_interval():
     shard = ShardSpec("solo", utilization=UTILIZATION, scale=TINY).build()
     fleet = FleetCache([shard])
     driver = FleetDriver(
-        fleet, FleetReplayConfig(arrival_interval_ns=1_000)
+        fleet, ReplayConfig(arrival_interval_ns=1_000, poll_interval_ops=2000)
     )
     result = driver.run(trace)
     assert result.ops == 500
     # Open loop: the shard clock tracks arrivals, not completions.
     assert driver.ops_done == 500
     with pytest.raises(ValueError, match="mutually exclusive"):
-        FleetReplayConfig(
+        ReplayConfig(
             arrival_interval_ns=1_000, arrival_schedule_ns=[0, 1, 2]
         )
