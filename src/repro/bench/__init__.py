@@ -1,21 +1,19 @@
 """CacheBench-style experiment harness: trace replayer, metrics, and
 the scaled experiment builders every figure/table bench uses."""
 
+import importlib
+
 from .driver import CacheBench, ReplayConfig
 from .latency import LATENCY_SCALE, run_latency_soak
 from .metrics import (
     AblationCell,
     AblationResult,
     CrashSoakResult,
-    FleetSoakResult,
-    FleetWindow,
     IntegritySoakResult,
     IntervalPoint,
     LatencyArm,
     LatencyReservoir,
     LatencySoakResult,
-    OverloadSoakResult,
-    OverloadWindow,
     RunResult,
 )
 from .parallel import (
@@ -43,48 +41,32 @@ from .runner import (
     run_integrity_soak,
 )
 
-# The fleet/overload harness exports resolve lazily (PEP 562):
-# repro.bench.fleet and repro.bench.overload import repro.fleet, whose
-# shard builder re-enters repro.bench.runner, so an eager import here
-# would both risk a cycle and trigger the runpy double-execution
-# warning under `python -m repro.bench.fleet` / `... .overload`.
-_FLEET_EXPORTS = (
-    "FLEET_SCALE",
-    "SMOKE_SCALE",
-    "default_fleet_specs",
-    "run_fleet_soak",
-)
-
-_OVERLOAD_EXPORTS = (
-    "OVERLOAD_SCALE",
-    "make_crowd_trace",
-    "run_overload_soak",
-    "scenario_matrix",
-)
-
-# Same lazy treatment for the ablation bench: keeps
-# `python -m repro.bench.ablation` free of the runpy double-execution
-# warning.
-_ABLATION_EXPORTS = (
-    "ABLATION_SCALE",
-    "run_ablation",
-    "run_nemo_soak",
-)
+# The soak, ablation and overload-matrix exports resolve lazily (PEP
+# 562): repro.bench.soak imports repro.fleet, whose shard builder
+# re-enters repro.bench.runner, so an eager import here would both
+# risk a cycle and trigger the runpy double-execution warning under
+# `python -m repro.bench.soak`.
+_LAZY_EXPORTS = {
+    "FLEET_SCALE": "soak",
+    "SMOKE_SCALE": "soak",
+    "SoakResult": "soak",
+    "SoakWindow": "soak",
+    "default_fleet_specs": "soak",
+    "make_crowd_trace": "soak",
+    "run_fleet_soak": "soak",
+    "run_overload_soak": "soak",
+    "run_failslow_soak": "soak",
+    "ABLATION_SCALE": "ablation",
+    "run_ablation": "ablation",
+    "run_nemo_soak": "ablation",
+    "scenario_matrix": "overload",
+}
 
 
 def __getattr__(name):
-    if name in _FLEET_EXPORTS:
-        from . import fleet as _fleet
-
-        return getattr(_fleet, name)
-    if name in _OVERLOAD_EXPORTS:
-        from . import overload as _overload
-
-        return getattr(_overload, name)
-    if name in _ABLATION_EXPORTS:
-        from . import ablation as _ablation
-
-        return getattr(_ablation, name)
+    if name in _LAZY_EXPORTS:
+        module = importlib.import_module(f".{_LAZY_EXPORTS[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -121,21 +103,7 @@ __all__ = [
     "point_seed",
     "run_sweep",
     "smoke_points",
-    "FleetWindow",
-    "FleetSoakResult",
-    "FLEET_SCALE",
-    "SMOKE_SCALE",
-    "default_fleet_specs",
-    "run_fleet_soak",
-    "OverloadWindow",
-    "OverloadSoakResult",
-    "OVERLOAD_SCALE",
-    "make_crowd_trace",
-    "run_overload_soak",
-    "scenario_matrix",
     "AblationCell",
     "AblationResult",
-    "ABLATION_SCALE",
-    "run_ablation",
-    "run_nemo_soak",
+    *_LAZY_EXPORTS,
 ]

@@ -28,9 +28,9 @@ construction:
 
 CLI::
 
-    python -m repro.bench.ablation --smoke      # CI gate
-    python -m repro.bench.ablation              # full matrix
-    python -m repro.bench.ablation --json out.json
+    python -m repro.bench.soak ablation --smoke      # CI gate
+    python -m repro.bench.soak ablation              # full matrix
+    python -m repro.bench.soak ablation --json out.json
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "matrix_points",
     "run_nemo_soak",
     "run_ablation",
-    "main",
 ]
 
 # Matrix cell scale: small enough that twelve cells finish in CI
@@ -326,61 +325,3 @@ def run_ablation(
         failures=failures,
     )
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.bench.ablation [--smoke] [options]``."""
-    import argparse
-    import json
-    import time
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.ablation",
-        description=(
-            "Policy-vs-placement ablation: admission x FDP x engine "
-            "matrix plus Nemo integrity/scheduler soaks."
-        ),
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: reduced ops, exit 1 on gate failure",
-    )
-    parser.add_argument(
-        "--ops", type=int, default=None,
-        help=f"ops per matrix cell (default {ABLATION_OPS}, "
-        f"smoke {SMOKE_OPS})",
-    )
-    parser.add_argument(
-        "--seed", type=lambda s: int(s, 0), default=None,
-        help="override the point_seed-derived matrix seed",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="matrix worker processes (default: CPU count)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also dump the full result (cells + gate) as JSON",
-    )
-    args = parser.parse_args(argv)
-
-    num_ops = args.ops or (SMOKE_OPS if args.smoke else ABLATION_OPS)
-    scale = SMOKE_SCALE if args.smoke else ABLATION_SCALE
-    start = time.perf_counter()
-    result = run_ablation(
-        num_ops=num_ops,
-        scale=scale,
-        seed=args.seed,
-        soak_ops=max(10_000, num_ops // 3) if args.smoke else 20_000,
-        workers=args.workers,
-    )
-    print(result.summary_table())
-    print(f"({time.perf_counter() - start:.1f}s wall)")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0 if result.acceptance else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

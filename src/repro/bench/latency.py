@@ -16,14 +16,13 @@ histograms, not the replay reservoir: bucket upper bounds are
 deterministic integers, which is what lets ``tests/golden/
 latency_*.json`` pin the percentiles exactly.
 
-Run ``python -m repro.bench.latency --smoke`` for the CI-sized
-comparison (exits nonzero if the FDP arm fails to beat the Non-FDP arm
-at ≥70% utilization).
+Run ``python -m repro.bench.soak latency --smoke`` for the CI-sized
+comparison (exits nonzero if the FDP arm fails to beat the Non-FDP
+arm).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Dict, Optional
 
@@ -33,7 +32,7 @@ from .driver import CacheBench, ReplayConfig
 from .metrics import LatencyArm, LatencySoakResult
 from .runner import Scale, build_experiment, make_trace, point_seed
 
-__all__ = ["LATENCY_SCALE", "run_latency_soak", "main"]
+__all__ = ["LATENCY_SCALE", "run_latency_soak"]
 
 # Small enough that the two arms finish in CI minutes, large enough
 # that the device wraps several times at high utilization so GC runs
@@ -168,64 +167,3 @@ def run_latency_soak(
         fdp_on=arms[True],
     )
 
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.latency",
-        description=(
-            "FDP-on vs FDP-off p99 read-latency soak under the "
-            "multi-queue scheduler"
-        ),
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=f"CI-sized run ({SMOKE_OPS} ops per arm)",
-    )
-    parser.add_argument(
-        "--workload",
-        default="kvcache",
-        help="trace generator (kvcache, wo-kvcache, twitter)",
-    )
-    parser.add_argument(
-        "--utilization",
-        type=float,
-        default=0.85,
-        help="cache share of advertised capacity (acceptance needs >=0.7)",
-    )
-    parser.add_argument("--ops", type=int, default=None, help="ops per arm")
-    parser.add_argument(
-        "--warmup", type=int, default=None,
-        help="warm-up ops discarded from the histograms "
-             "(default: a quarter of the trace)",
-    )
-    parser.add_argument(
-        "--seed", type=lambda v: int(v, 0), default=None,
-        help="trace seed (default: point_seed('latency_soak', 0))",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true", help="per-arm progress"
-    )
-    args = parser.parse_args(argv)
-
-    num_ops = args.ops
-    if num_ops is None and args.smoke:
-        num_ops = SMOKE_OPS
-    result = run_latency_soak(
-        workload=args.workload,
-        utilization=args.utilization,
-        num_ops=num_ops,
-        seed=args.seed,
-        warmup_ops=args.warmup,
-        verbose=args.verbose,
-    )
-    print(result.summary_table())
-    if args.utilization >= 0.70 and not result.acceptance:
-        print("FAIL: FDP-on p99 read latency is not below FDP-off",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

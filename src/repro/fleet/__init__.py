@@ -20,7 +20,7 @@ fault-tolerant cluster:
   (:class:`ShardUnavailableError` wraps device exceptions with the
   originating shard id).
 
-The soak harness and CLI live in :mod:`repro.bench.fleet`.
+The soak harness and CLI live in :mod:`repro.bench.soak`.
 """
 
 from .driver import (

@@ -109,7 +109,7 @@ class ShardSpec:
 
     def build(self) -> "CacheShard":
         # Imported here, not at module level: repro.bench imports
-        # repro.fleet (the fleet soak lives in repro.bench.fleet), so a
+        # repro.fleet (the fleet soaks live in repro.bench.soak), so a
         # top-level import back into repro.bench.runner would be
         # circular.
         from ..bench.runner import DEFAULT_SCALE, build_experiment

@@ -504,7 +504,7 @@ class TestAdmissionSeedThreading:
         assert shard.backend.cache.config.admission_seed is None
 
     def test_default_fleet_specs_derive_distinct_per_shard_seeds(self):
-        from repro.bench.fleet import default_fleet_specs
+        from repro.bench.soak import default_fleet_specs
 
         specs = default_fleet_specs(4, scale=TINY, seed=99)
         seeds = [s.admission_seed for s in specs]
@@ -519,7 +519,7 @@ class TestAdmissionSeedThreading:
                                           (s.admission_seed for s in other)))
 
     def test_default_fleet_specs_without_seed_keep_none(self):
-        from repro.bench.fleet import default_fleet_specs
+        from repro.bench.soak import default_fleet_specs
 
         specs = default_fleet_specs(3, scale=TINY)
         assert all(s.admission_seed is None for s in specs)

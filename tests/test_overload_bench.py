@@ -21,13 +21,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.driver import ReplayConfig
-from repro.bench.overload import (
-    make_crowd_trace,
-    matrix_points,
-    run_overload_soak,
-)
+from repro.bench.overload import matrix_points
 from repro.bench.parallel import SweepPoint, run_sweep
 from repro.bench.runner import Scale, make_trace
+from repro.bench.soak import make_crowd_trace, run_overload_soak
 from repro.fleet import (
     FleetCache,
     FleetConfig,
@@ -37,6 +34,7 @@ from repro.fleet import (
 )
 from repro.workloads.adversarial import SCENARIOS
 from tests.test_differential_batch import assert_identical
+from tests.test_golden_regression import _check_golden
 
 TINY = Scale(num_superblocks=32, num_ops=4_000)
 UTILIZATION = 0.9
@@ -102,18 +100,33 @@ def test_crowd_trace_is_deterministic_and_sized_to_fleet():
     assert not (t3.keys == t1.keys).all()
 
 
-def test_overload_soak_smoke_acceptance():
+@pytest.fixture(scope="module")
+def smoke_soak():
+    return run_overload_soak(num_shards=2, ops_per_shard=20_000)
+
+
+def test_overload_soak_smoke_acceptance(smoke_soak):
     """The gate the CI smoke run enforces, at the same scale."""
-    result = run_overload_soak(num_shards=2, ops_per_shard=20_000)
-    assert result.p99_bounded, result.summary_table()
-    assert result.p99_recovered, result.summary_table()
-    assert result.off_collapsed, result.summary_table()
-    assert result.governor_engaged, result.summary_table()
+    result = smoke_soak
+    for gate in (
+        "p99_bounded", "p99_recovered", "off_collapsed", "governor_engaged"
+    ):
+        assert result.gates[gate][0], result.summary_table()
     assert result.acceptance
     # The governed arm actually shed load, and the report says so.
-    assert result.governor_counters["shed_sets"] > 0
+    assert result.counters["governor_counters"]["shed_sets"] > 0
+    on = result.arms["governor-on"]
+    assert on["event"].shed_sets > 0
+    # Open loop: every window reports its backlog and crowd overlap.
+    assert on["event"].label == {"flash_crowd": 1.0}
+    assert on["pre"].label == {"flash_crowd": 0.0}
+    assert all(w.max_backlog_ns is not None for w in on.values())
     table = result.summary_table()
-    assert "on:burst" in table and "off:burst" in table
+    assert "governor-on:event" in table and "governor-off:event" in table
+
+
+def test_golden_overload_soak(smoke_soak, update_golden):
+    _check_golden("overload_soak_smoke", smoke_soak.to_dict(), update_golden)
 
 
 @pytest.mark.slow
