@@ -168,10 +168,9 @@ class LargeObjectCache:
         paper measures — but the caller is not blocked on it, hence the
         returned completion time is ``now_ns``.
 
-        The whole region goes down as one multi-page write command, so
-        it rides the FTL's batched extent path (DESIGN.md §10): one
-        placement lookup and journal run per reclaim-unit-sized chunk
-        instead of per page.
+        The whole region goes down as one multi-page write command: one
+        placement lookup and one latency charge for the whole stripe,
+        while the FTL programs and journals it page by page.
         """
         region = self._open
         page_size = self.device.ssd.page_size

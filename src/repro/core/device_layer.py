@@ -390,8 +390,8 @@ class FdpAwareDevice:
         commands are submitted at ``now_ns`` and the device busy clock
         serializes their media work in order, exactly as a queue-
         depth-1 caller threading completion times would observe — the
-        saving is per-command Python overhead (the batched FTL extent
-        path does the heavy lifting below).
+        saving is per-command Python overhead in this layer; the FTL
+        still programs each command page by page.
 
         Unlike :meth:`write`/:meth:`read`, a media error that survives
         the per-command retry budget does *not* abort the batch: like a

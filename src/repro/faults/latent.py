@@ -247,16 +247,6 @@ class LatentErrorModel:
         return ("~bitrot", payload)
 
     @property
-    def corrupts_writes(self) -> bool:
-        """True when the write path must be consulted per host page.
-
-        The batched FTL fast path programs whole extents without a
-        per-page hook, so a model that can corrupt programs forces the
-        scalar path (see ``Ftl.effective_io_path``).
-        """
-        return bool(self.config.silent_corruption_rate) or bool(len(self.plan))
-
-    @property
     def injection_totals(self) -> Dict[str, int]:
         return {
             "host_program_ops": self.host_program_ops,

@@ -97,7 +97,6 @@ class SimulatedSSD:
         checkpoint_interval_pages: Optional[int] = None,
         journal_flush_interval: Optional[int] = None,
         power_seed: Optional[int] = None,
-        io_path: str = "batched",
         latent: "LatentErrorConfig | LatentErrorModel | None" = None,
         scrub: "ScrubConfig | PatrolScrubber | bool | None" = None,
         sched: "SchedConfig | bool | None" = None,
@@ -122,7 +121,6 @@ class SimulatedSSD:
         self._checkpoint_interval = checkpoint_interval_pages
         self._journal_flush_interval = journal_flush_interval
         self._power_seed = power_seed
-        self.io_path = io_path
         self._latent_spec = latent
         self._scrub_spec = scrub
         self._sched_spec = sched
@@ -196,7 +194,6 @@ class SimulatedSSD:
             gc_victim_sample=self._gc_victim_sample,
             wear_level_threshold=self._wear_level_threshold,
             faults=self._new_fault_model(),
-            io_path=self.io_path,
             latent=self._new_latent_model(),
             scrub=self._new_scrubber(),
             sched=self._new_sched(),
@@ -545,18 +542,6 @@ class SimulatedSSD:
     def scrubber(self) -> Optional[PatrolScrubber]:
         """The attached patrol scrubber, or ``None`` when disabled."""
         return self.ftl.scrubber
-
-    @property
-    def effective_io_path(self) -> str:
-        """The I/O path actually in use (see ``Ftl.effective_io_path``).
-
-        Requesting ``io_path="batched"`` with fault injection or a
-        corrupting latent model attached resolves to ``"scalar"`` at
-        construction time — per-page fault hooks cannot run under the
-        extent fast path.  Inspect this to confirm which path a device
-        really runs rather than trusting the requested knob.
-        """
-        return self.ftl.effective_io_path
 
     def scrub_status(self) -> Optional[ScrubStatus]:
         """Patrol-scrub progress snapshot, or ``None`` when no scrubber

@@ -147,28 +147,6 @@ class Ftl:
         every read, program, and erase.  ``None`` (the default) keeps
         the device perfectly reliable and the I/O path bit-identical to
         a fault-free build.
-    io_path:
-        ``"batched"`` (default) programs multi-page writes in whole
-        per-superblock extents, amortizing placement lookup, OOB
-        stamping, journal appends, and accounting across each chunk;
-        ``"scalar"`` keeps the page-at-a-time reference loop.  The two
-        paths are bit-identical — same L2P, stats, events, latency,
-        energy, and recovery trail — which the differential harness in
-        ``tests/test_differential_batch.py`` enforces (DESIGN.md §10).
-
-        **Fault interaction (decided at construction, never silently
-        mid-run):** with a :class:`FaultModel` attached, or a latent-
-        error model that can corrupt programs (``corrupts_writes``),
-        multi-page writes always take the scalar loop so per-page
-        fault and corruption interleave points (the Nth host program)
-        keep their exact meaning.  Requesting ``io_path="batched"``
-        in those configurations is *not* an error — the chaos benches
-        do it deliberately — but the resolved path is exposed as
-        :attr:`effective_io_path` and pinned by a regression test, so
-        a ctor knob can never quietly disable injection.  A quiescent
-        latent model (zero corruption rate, empty plan) keeps the
-        fast path: read-side disturb tracking and CRC stamping do not
-        need per-page write hooks.
     latent:
         Optional latent-error model (or its config): read-disturb
         accumulation, wear-accelerated retention aging, and silent
@@ -198,7 +176,6 @@ class Ftl:
         checkpoint_interval_pages: int = CHECKPOINT_INTERVAL_PAGES,
         journal_flush_interval: int = JOURNAL_FLUSH_INTERVAL,
         power_seed: int = 0x9C7A,
-        io_path: str = "batched",
         latent: "Optional[object]" = None,
         scrub: "Optional[object]" = None,
         sched: "Optional[object]" = None,
@@ -212,11 +189,6 @@ class Ftl:
         # on it, which is what keeps scheduler-on runs bit-identical
         # to scheduler-off for L2P/P2L/OOB/journal/stats.
         self.sched = sched
-        if io_path not in ("batched", "scalar"):
-            raise ValueError(
-                f"io_path must be 'batched' or 'scalar', got {io_path!r}"
-            )
-        self.io_path = io_path
         # Latent-error model: accept a config or a live model.
         if latent is not None and not isinstance(latent, LatentErrorModel):
             latent = LatentErrorModel(latent)
@@ -230,14 +202,6 @@ class Ftl:
         # crc=None and the fault-free path stays bit-identical to a
         # build without the integrity subsystem.
         self._protect = latent is not None or scrub is not None
-        # Resolved once here — the write path must never silently flip
-        # between the batched extent programmer (no per-page hooks)
-        # and the scalar loop (per-page fault / corruption draws).
-        self._fast_path = (
-            io_path == "batched"
-            and faults is None
-            and (latent is None or not latent.corrupts_writes)
-        )
         self.latency = latency if latency is not None else LatencyModel()
         self.energy = energy if energy is not None else EnergyModel()
         self.events = events if events is not None else FdpEventLog()
@@ -297,9 +261,9 @@ class Ftl:
         self.checkpoint_interval_pages = checkpoint_interval_pages
         self.power_seed = power_seed
         # Per-physical-page OOB records: the persistent ground truth
-        # recovery scans.  Columnar (struct-of-arrays) so the extent
-        # fast paths deposit whole runs with slice stores; indexing
-        # still yields None for an unprogrammed page (see ssd.oob).
+        # recovery scans.  Columnar (struct-of-arrays), so no Python
+        # object is kept per page; indexing still yields None for an
+        # unprogrammed page (see ssd.oob).
         self._oob = OobStore(geometry.total_pages)
         # Global program sequence number (monotonic over device life).
         self._seq = 0
@@ -331,19 +295,6 @@ class Ftl:
     @property
     def fdp_enabled(self) -> bool:
         return self.fdp_config is not None
-
-    @property
-    def effective_io_path(self) -> str:
-        """The write path multi-page commands actually take.
-
-        ``io_path`` records what the caller asked for; this property
-        reports what the device resolved it to at construction —
-        ``"scalar"`` whenever a fault model or a write-corrupting
-        latent-error model needs per-page hooks.  Pinned by the
-        regression tests so integrity faults can never be disabled by
-        a ctor knob.
-        """
-        return "batched" if self._fast_path else "scalar"
 
     def _host_stream(self, pid: Optional[PlacementIdentifier]) -> StreamKey:
         """Resolve the write-point key for a host write."""
@@ -721,9 +672,11 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def _check_lba(self, lba: int) -> None:
-        if not 0 <= lba < self.geometry.logical_pages:
+        # The L2P array has one slot per LBA; its length is a C call,
+        # where ``geometry.logical_pages`` recomputes a float product.
+        if not 0 <= lba < len(self._l2p):
             raise OutOfRangeError(
-                f"LBA {lba} outside [0, {self.geometry.logical_pages})"
+                f"LBA {lba} outside [0, {len(self._l2p)})"
             )
 
     def _inject_host_spike(self, done_ns: int) -> int:
@@ -915,160 +868,6 @@ class Ftl:
         self._oob[ppn] = OobRecord(-1, self._seq, stream, None, False)
         self.stats.torn_pages_discarded += 1
 
-    def _host_write_page(
-        self,
-        lba: int,
-        stream: StreamKey,
-        now_ns: int,
-        payload: object = None,
-        ppns: Optional[List[int]] = None,
-    ) -> None:
-        """Mapping + accounting for one host page (no latency charge)."""
-        if self.faults is not None and self.faults.power_loss_on_program():
-            self._tear_current_page(stream)
-            raise PowerLossError(
-                f"power lost during host page program (LBA {lba}, "
-                f"stream {stream})",
-                lba=lba,
-                now_ns=now_ns,
-            )
-        crc: Optional[int] = None
-        if self._protect:
-            # Protection info covers the *host's* data.  A silent
-            # corruption stores mutated media content under the
-            # original CRC — undetectable until some layer verifies.
-            crc = payload_crc(payload)
-            if self.latent is not None and self.latent.corrupt_program(lba):
-                payload = self.latent.corrupted(payload)
-        old = self._l2p[lba]
-        if old >= 0:
-            sb = self.superblocks[old // self._pps]
-            sb.valid_pages -= 1
-            if not sb.valid_pages and sb.state is SuperblockState.CLOSED:
-                insort(self._zero_closed, sb.index)
-            self._l2p[lba] = -1
-        ppn = self._program_into(stream, lba, now_ns, payload, crc)
-        if ppns is not None:
-            ppns.append(ppn)
-        self.stats.host_pages_written += 1
-        self.stats.nand_pages_written += 1
-        self.energy.add_programs(1)
-        self.stream_host_pages[stream] = (
-            self.stream_host_pages.get(stream, 0) + 1
-        )
-        self._pages_since_checkpoint += 1
-
-    def _write_extent_fast(
-        self,
-        lba: int,
-        npages: int,
-        stream: StreamKey,
-        now_ns: int,
-        payload: object,
-        ppns: List[int],
-    ) -> None:
-        """Program ``npages`` consecutive LBAs as whole extents.
-
-        The batched twin of looping :meth:`_host_write_page`: the range
-        is split into chunks at reclaim-unit (superblock) boundaries
-        and each chunk is programmed in one tight loop with the hot
-        state hoisted to locals, charging stats/energy/checkpoint
-        counters once per chunk instead of once per page.  Per-page
-        effects that recovery depends on — sequence numbers, OOB
-        records, journal appends (and therefore journal flush
-        boundaries) — stay per-page, so the persistent trail is
-        byte-for-byte the trail the scalar loop leaves.
-
-        GC ordering is preserved exactly: the scalar path invalidates a
-        page's old mapping *before* the allocation that may trigger GC,
-        so a collection pass never migrates a copy the in-flight
-        command is about to supersede.  The fast path replicates that
-        by invalidating the chunk-opening page before
-        :meth:`_collect_until_reserve` runs; mid-chunk pages cannot
-        trigger GC (the chunk never outgrows the open superblock), so
-        their invalidations inside the loop are equivalent to the
-        scalar interleaving.
-
-        Only called with ``faults is None`` — per-page fault and
-        power-loss draws are the scalar loop's job.
-        """
-        l2p = self._l2p
-        p2l = self._p2l
-        oob = self._oob
-        superblocks = self.superblocks
-        pps = self._pps
-        write_points = self._write_points
-        journal_run = self._journal.append_run
-        stats = self.stats
-        # One CRC per command: every page of the extent stores the same
-        # payload object, so this matches the scalar loop's per-page
-        # payload_crc() bit for bit.
-        crc = payload_crc(payload) if self._protect else None
-        cur = lba
-        end = lba + npages
-        while cur < end:
-            sb = write_points.get(stream)
-            if sb is None:
-                # Scalar-path order: the page that triggers allocation
-                # invalidates its old mapping first, then GC runs.
-                old = l2p[cur]
-                if old >= 0:
-                    sbo = superblocks[old // pps]
-                    sbo.valid_pages -= 1
-                    if (
-                        not sbo.valid_pages
-                        and sbo.state is SuperblockState.CLOSED
-                    ):
-                        insort(self._zero_closed, sbo.index)
-                    l2p[cur] = -1
-                if stream[0] == HOST_STREAM:
-                    self._collect_until_reserve(now_ns)
-                sb = self._pop_free(stream)
-                write_points[stream] = sb
-            chunk = end - cur
-            room = pps - sb.write_ptr
-            if chunk > room:
-                chunk = room
-            base = sb.index * pps + sb.write_ptr
-            # Invalidate the chunk's old mappings (snapshot the slice
-            # first: the new ppns land in erased pages, so no old
-            # mapping can alias the destination), then install the new
-            # run with two C-level slice stores.
-            for old in l2p[cur : cur + chunk]:
-                if old >= 0:
-                    sbo = superblocks[old // pps]
-                    sbo.valid_pages -= 1
-                    if (
-                        not sbo.valid_pages
-                        and sbo.state is SuperblockState.CLOSED
-                    ):
-                        insort(self._zero_closed, sbo.index)
-            l2p[cur : cur + chunk] = array("i", range(base, base + chunk))
-            p2l[base : base + chunk] = array("i", range(cur, cur + chunk))
-            seq = self._seq
-            oob[base : base + chunk] = [
-                OobRecord(lb, sq, stream, payload, True, crc)
-                for lb, sq in zip(
-                    range(cur, cur + chunk),
-                    range(seq + 1, seq + chunk + 1),
-                )
-            ]
-            journal_run(seq + 1, cur, base, chunk)
-            self._seq = seq + chunk
-            ppns.extend(range(base, base + chunk))
-            sb.write_ptr += chunk
-            sb.valid_pages += chunk
-            stats.host_pages_written += chunk
-            stats.nand_pages_written += chunk
-            self.energy.add_programs(chunk)
-            self.stream_host_pages[stream] = (
-                self.stream_host_pages.get(stream, 0) + chunk
-            )
-            self._pages_since_checkpoint += chunk
-            cur += chunk
-            if sb.write_ptr == pps:
-                self._close_write_point(stream, now_ns)
-
     def write(
         self,
         lba: int,
@@ -1114,22 +913,60 @@ class Ftl:
             self.scrubber.maybe_step(self, now_ns)
         stream = self._host_stream(pid)
         ppns: List[int] = []
+        faults = self.faults
+        latent = self.latent
+        # Protection info covers the *host's* data: every page of the
+        # command stores the same payload, so one CRC serves them all.
+        crc = payload_crc(payload) if self._protect else None
+        l2p = self._l2p
+        superblocks = self.superblocks
+        pps = self._pps
+        program = self._program_into
         try:
-            if self._fast_path:
-                self._write_extent_fast(
-                    lba, npages, stream, now_ns, payload, ppns
-                )
-            else:
-                for i in range(npages):
-                    self._host_write_page(
-                        lba + i, stream, now_ns, payload, ppns
+            for cur in range(lba, lba + npages):
+                if faults is not None and faults.power_loss_on_program():
+                    self._tear_current_page(stream)
+                    raise PowerLossError(
+                        f"power lost during host page program (LBA {cur}, "
+                        f"stream {stream})",
+                        lba=cur,
+                        now_ns=now_ns,
                     )
+                data = payload
+                # A silent corruption stores mutated media content under
+                # the original CRC — undetectable until some layer
+                # verifies.
+                if latent is not None and latent.corrupt_program(cur):
+                    data = latent.corrupted(payload)
+                # Invalidate the old copy before the program, whose
+                # allocation may run GC: a collection pass must never
+                # migrate a copy this command is about to supersede.
+                old = l2p[cur]
+                if old >= 0:
+                    sb = superblocks[old // pps]
+                    sb.valid_pages -= 1
+                    if not sb.valid_pages and sb.state is SuperblockState.CLOSED:
+                        insort(self._zero_closed, sb.index)
+                    l2p[cur] = -1
+                ppns.append(program(stream, cur, now_ns, data, crc))
         except PowerLossError as exc:
             exc.lba = lba
             exc.npages = npages
             exc.pages_durable = len(ppns)
             self.power_cut(now_ns, _torn_mid_command=True)
             raise
+        finally:
+            # Nothing reads these counters mid-command, so they are
+            # charged once for the pages that made it to media.
+            written = len(ppns)
+            if written:
+                self.stats.host_pages_written += written
+                self.stats.nand_pages_written += written
+                self.energy.add_programs(written)
+                self.stream_host_pages[stream] = (
+                    self.stream_host_pages.get(stream, 0) + written
+                )
+                self._pages_since_checkpoint += written
         done = self._inject_host_spike(self.latency.host_write(now_ns, npages))
         self._inflight.append(_InflightWrite(lba, npages, ppns, done))
         self._maybe_checkpoint()

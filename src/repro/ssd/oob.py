@@ -2,10 +2,8 @@
 
 The FTL keeps one OOB record per physical page — the persistent ground
 truth recovery rebuilds the mapping from.  The seed implementation held
-a ``List[Optional[OobRecord]]``; profiling the extent fast path showed
-that *constructing* one Python record object per programmed page was
-the single largest cost of a multi-page write (≈6x the cost of the
-actual mapping updates).  This module replaces the record list with a
+a ``List[Optional[OobRecord]]``, keeping one Python record object alive
+per programmed page.  This module replaces the record list with a
 struct-of-arrays store: seven parallel columns (mapped flag, LBA,
 sequence number, stream, payload, integrity bit, CRC), so no Python
 object is kept per page.
@@ -18,8 +16,7 @@ Compatibility is preserved exactly:
   write the underlying columns.  Code that mutates a record in place
   (``rec.ok = False`` in the poison path) therefore still works.
 * ``store[ppn] = OobRecord(...)`` / ``= None`` decomposes into the
-  columns; slice assignment from a list of records (the batched extent
-  path, erase wipes) does the same per element.
+  columns.
 * Iteration and ``len()`` behave like the old list, so differential
   tests imaging the whole OOB area run unchanged.
 
@@ -149,16 +146,7 @@ class OobStore:
             return OobView(self, index)
         return None
 
-    def __setitem__(self, index, value) -> None:
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._total)
-            assert step == 1, "OobStore only supports contiguous slices"
-            for i, rec in zip(range(start, stop), value):
-                self._set_one(i, rec)
-            return
-        self._set_one(index, value)
-
-    def _set_one(self, ppn: int, rec) -> None:
+    def __setitem__(self, ppn: int, rec) -> None:
         if rec is None:
             self._mapped[ppn] = 0
             self._stream[ppn] = None

@@ -223,29 +223,6 @@ class MappingJournal:
         if self._buf_len >= self.flush_interval:
             self.force_flush()
 
-    def append_run(self, seq: int, lba: int, ppn: int, count: int) -> None:
-        """Append ``count`` entries for consecutively programmed pages
-        (``seq``/``lba``/``ppn`` each advancing by one per page).
-
-        The batched extent path journals a whole chunk through this;
-        flushes fire at exactly the interval boundaries the per-page
-        :meth:`append` loop would hit, so power-cut durability (which
-        entries were flushed when) is unchanged by batching.
-        """
-        buf = self._buf
-        interval = self.flush_interval
-        done = 0
-        while done < count:
-            take = count - done
-            room = interval - self._buf_len
-            if take > room:
-                take = room
-            buf.append((seq + done, lba + done, ppn + done, take))
-            self._buf_len += take
-            done += take
-            if self._buf_len >= interval:
-                self.force_flush()
-
     def force_flush(self) -> None:
         """Move the volatile buffer into the durable region."""
         if self._buf:

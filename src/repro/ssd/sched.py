@@ -36,8 +36,8 @@ State mutations (L2P, OOB, journal, stats) execute synchronously in
 submission order whether or not a scheduler is attached; the scheduler
 only decides *when* each command completes.  That is what keeps
 ``submit_async``/``poll`` bit-identical to the synchronous path for
-everything except latency (enforced by the differential arm in
-``tests/test_differential_batch.py``).
+everything except latency (enforced by the ``test_scheduler_overlay_*``
+differential arms in ``tests/test_differential_batch.py``).
 
 Everything is integer nanoseconds and deterministic: same submissions,
 same completions, no wall clock, no RNG.

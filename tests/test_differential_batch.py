@@ -1,17 +1,19 @@
-"""Differential harness: the batched extent fast path vs the scalar loop.
+"""Differential harness: the multi-queue scheduler overlay vs the sync path.
 
-DESIGN.md §10's central invariant: ``io_path="batched"`` and
-``io_path="scalar"`` are *bit-identical* — not statistically similar —
-for any command stream.  Two devices replay the same commands and then
-every observable surface is compared: L2P/P2L arrays, OOB records
-(lba, seq, stream, payload, ok per physical page), the mapping
-journal's volatile buffer and flushed entries, the stats snapshot and
-FDP statistics log page, the FDP event stream, the busy-clock state,
-energy, and the health log.  Faulty devices take the scalar loop on
-both sides by construction (the fast path requires ``faults is
-None``), but still exercise the shared vectorized state — the
-incremental closed-superblock set, slice-based lookups — under media
-errors, retirements, and power cuts.
+The scheduler (``sched=True``) is a pure timing overlay, so a device
+driven through ``submit_async``/``poll`` must be *bit-identical* — not
+statistically similar — to one driven through the synchronous calls.
+Both devices replay the same commands and then every observable
+surface is compared: L2P/P2L arrays, OOB records (lba, seq, stream,
+payload, ok, crc per physical page), the mapping journal's volatile
+buffer and flushed entries, the stats snapshot and FDP statistics log
+page, the FDP event stream, the busy-clock state, energy, and the
+health log.  Arms cover synthetic and Zipf streams, media errors, and
+power cuts mid-command and between commands.
+
+The command generators and :func:`assert_identical` here are shared by
+the other differential suites (admission, arrival clock, fleet,
+fail-slow, overload).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import random
 
 import pytest
 
-from repro.faults.latent import LatentErrorConfig
 from repro.faults.model import FaultConfig
 from repro.faults.plan import OP_POWER, ScriptedFault
 from repro.fdp import PlacementIdentifier
@@ -36,17 +37,7 @@ GEOMETRY = Geometry(
     op_fraction=0.10,
 )
 N_LBAS = GEOMETRY.logical_pages
-MAX_EXTENT = 24  # spans > 1 superblock (16 pages) to force chunk splits
-
-
-def make_pair(fdp=False, faults=None, **kwargs):
-    scalar = SimulatedSSD(
-        GEOMETRY, fdp=fdp, faults=faults, io_path="scalar", **kwargs
-    )
-    batched = SimulatedSSD(
-        GEOMETRY, fdp=fdp, faults=faults, io_path="batched", **kwargs
-    )
-    return scalar, batched
+MAX_EXTENT = 24  # spans > 1 superblock (16 pages), so writes cross RUs
 
 
 def synthetic_commands(seed, num_ops, *, use_pids=False, max_extent=MAX_EXTENT):
@@ -55,7 +46,7 @@ def synthetic_commands(seed, num_ops, *, use_pids=False, max_extent=MAX_EXTENT):
     commands = []
     # Cap the written span at ~80% of the logical space: several open
     # FDP write points fragment the free pool, and a near-full device
-    # would legitimately throw DeviceFullError on both paths.
+    # would legitimately throw DeviceFullError on both arms.
     span = int(N_LBAS * 0.8)
     for i in range(num_ops):
         npages = rng.randrange(1, max_extent + 1)
@@ -127,126 +118,29 @@ def oob_image(device):
     ]
 
 
-def assert_identical(scalar, batched):
+def assert_identical(a, b):
     """Every observable surface of the two devices must match exactly."""
-    assert scalar.ftl._l2p == batched.ftl._l2p
-    assert scalar.ftl._p2l == batched.ftl._p2l
-    assert scalar.snapshot() == batched.snapshot()
-    assert scalar.get_log_page() == batched.get_log_page()
-    assert scalar.events.recent() == batched.events.recent()
-    assert scalar.ftl._journal.buffer == batched.ftl._journal.buffer
-    assert scalar.ftl._journal.flushed == batched.ftl._journal.flushed
-    assert oob_image(scalar) == oob_image(batched)
-    assert scalar.ftl.latency.busy_until == batched.ftl.latency.busy_until
-    assert (
-        scalar.ftl.latency.busy_ns_total == batched.ftl.latency.busy_ns_total
-    )
-    assert scalar.energy_kwh() == batched.energy_kwh()
-    assert scalar.get_health_log() == batched.get_health_log()
+    assert a.ftl._l2p == b.ftl._l2p
+    assert a.ftl._p2l == b.ftl._p2l
+    assert a.snapshot() == b.snapshot()
+    assert a.get_log_page() == b.get_log_page()
+    assert a.events.recent() == b.events.recent()
+    assert a.ftl._journal.buffer == b.ftl._journal.buffer
+    assert a.ftl._journal.flushed == b.ftl._journal.flushed
+    assert oob_image(a) == oob_image(b)
+    assert a.ftl.latency.busy_until == b.ftl.latency.busy_until
+    assert a.ftl.latency.busy_ns_total == b.ftl.latency.busy_ns_total
+    assert a.energy_kwh() == b.energy_kwh()
+    assert a.get_health_log() == b.get_health_log()
     assert [
         (sb.state, sb.write_ptr, sb.valid_pages, sb.erase_count)
-        for sb in scalar.ftl.superblocks
+        for sb in a.ftl.superblocks
     ] == [
         (sb.state, sb.write_ptr, sb.valid_pages, sb.erase_count)
-        for sb in batched.ftl.superblocks
+        for sb in b.ftl.superblocks
     ]
-    scalar.check_invariants()
-    batched.check_invariants()
-
-
-@pytest.mark.parametrize("fdp", [False, True])
-@pytest.mark.parametrize("seed", [7, 2026])
-def test_synthetic_stream_bit_identical(fdp, seed):
-    commands = synthetic_commands(seed, 3000, use_pids=fdp)
-    scalar, batched = make_pair(fdp=fdp)
-    assert replay(scalar, commands) == replay(batched, commands)
-    assert_identical(scalar, batched)
-
-
-@pytest.mark.parametrize("fdp", [False, True])
-def test_zipf_stream_bit_identical(fdp):
-    commands = zipf_commands(99, 3000)
-    scalar, batched = make_pair(fdp=fdp)
-    assert replay(scalar, commands) == replay(batched, commands)
-    assert_identical(scalar, batched)
-
-
-def test_fault_plan_identical_exception_order():
-    """Probabilistic media errors + scripted retirements: both devices
-    run the scalar loop (fast path requires a fault-free device), but
-    the shared vectorized state must behave identically, including
-    which commands raise."""
-    faults = FaultConfig(
-        seed=0xBEEF,
-        read_uecc_rate=2e-3,
-        program_fail_rate=2e-3,
-        plan=(
-            ScriptedFault(op="erase", superblock=3, cycle=1),
-            ScriptedFault(op="erase", superblock=9, cycle=2),
-        ),
-    )
-    commands = synthetic_commands(11, 4000)
-    scalar, batched = make_pair(faults=faults)
-    log_s = replay(scalar, commands)
-    log_b = replay(batched, commands)
-    assert log_s == log_b
-    assert any(entry[0] == "err" for entry in log_s)
-    assert_identical(scalar, batched)
-
-
-@pytest.mark.parametrize("cut_index", [97, 1500])
-def test_scripted_power_cut_mid_command(cut_index):
-    """An OP_POWER plan entry tears one multi-page write mid-command at
-    the same host page-program index on both paths; recovery then
-    rebuilds the same state and the stream continues identically."""
-    faults = FaultConfig(
-        plan=(ScriptedFault(op=OP_POWER, op_index=cut_index),)
-    )
-    commands = synthetic_commands(5, 2500)
-    scalar, batched = make_pair(faults=faults)
-    log_s = replay(scalar, commands)
-    log_b = replay(batched, commands)
-    assert log_s == log_b
-    assert any(entry[0] == "cut" for entry in log_s)
-    assert_identical(scalar, batched)
-
-
-def test_external_power_cut_and_warm_restart():
-    """power_cut() between commands (fault-free devices, so the batched
-    side genuinely took the fast path before the cut), then recover and
-    keep writing."""
-    first = synthetic_commands(21, 1500)
-    second = synthetic_commands(22, 1500)
-    scalar, batched = make_pair(fdp=True)
-    assert replay(scalar, first) == replay(batched, first)
-    assert scalar.power_cut().torn_writes == batched.power_cut().torn_writes
-    scalar.recover()
-    batched.recover()
-    assert_identical(scalar, batched)
-    assert replay(scalar, second) == replay(batched, second)
-    assert_identical(scalar, batched)
-
-
-@pytest.mark.parametrize("fdp", [False, True])
-def test_quiescent_latent_model_bit_identical(fdp):
-    """A quiescent latent-error model (zero rates, empty plan) stamps
-    CRCs and tracks disturb counters but never perturbs an outcome, so
-    the batched side keeps the extent fast path and both paths stay
-    bit-identical — including the per-page CRCs in the OOB image."""
-    latent = LatentErrorConfig(
-        read_disturb_per_read=0.0, retention_rate=0.0
-    )
-    commands = synthetic_commands(31, 3000, use_pids=fdp)
-    scalar, batched = make_pair(fdp=fdp, latent=latent)
-    assert batched.effective_io_path == "batched"
-    assert scalar.effective_io_path == "scalar"
-    assert replay(scalar, commands) == replay(batched, commands)
-    assert_identical(scalar, batched)
-    # CRC protection is actually on: every mapped OOB record is stamped.
-    assert any(
-        rec is not None and rec.crc is not None
-        for rec in batched.ftl._oob
-    )
+    a.check_invariants()
+    b.check_invariants()
 
 
 # --------------------------------------------------------------------
@@ -353,8 +247,8 @@ def assert_identical_nontiming(sync_dev, async_dev):
 @pytest.mark.parametrize("fdp", [False, True])
 def test_scheduler_overlay_bit_identical_synthetic(fdp):
     commands = synthetic_commands(13, 3000, use_pids=fdp)
-    plain = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="batched")
-    sched = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, fdp=fdp)
+    sched = SimulatedSSD(GEOMETRY, fdp=fdp, sched=True)
     log_sync = replay_sync_clocked(plain, commands)
     log_async = replay_async(sched, commands)
     assert log_sync == log_async
@@ -366,8 +260,8 @@ def test_scheduler_overlay_bit_identical_synthetic(fdp):
 
 def test_scheduler_overlay_bit_identical_zipf():
     commands = zipf_commands(44, 3000)
-    plain = SimulatedSSD(GEOMETRY, io_path="batched")
-    sched = SimulatedSSD(GEOMETRY, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY)
+    sched = SimulatedSSD(GEOMETRY, sched=True)
     assert replay_sync_clocked(plain, commands) == replay_async(
         sched, commands
     )
@@ -387,10 +281,8 @@ def test_scheduler_overlay_identical_under_fault_plan():
         )
 
     commands = synthetic_commands(17, 4000)
-    plain = SimulatedSSD(GEOMETRY, faults=faults(), io_path="scalar")
-    sched = SimulatedSSD(
-        GEOMETRY, faults=faults(), io_path="scalar", sched=True
-    )
+    plain = SimulatedSSD(GEOMETRY, faults=faults())
+    sched = SimulatedSSD(GEOMETRY, faults=faults(), sched=True)
     log_sync = replay_sync_clocked(plain, commands)
     log_async = replay_async(sched, commands)
     assert log_sync == log_async
@@ -408,10 +300,8 @@ def test_scheduler_overlay_identical_across_power_cut(cut_index):
                                                op_index=cut_index),))
 
     commands = synthetic_commands(5, 2500)
-    plain = SimulatedSSD(GEOMETRY, faults=faults(), io_path="scalar")
-    sched = SimulatedSSD(
-        GEOMETRY, faults=faults(), io_path="scalar", sched=True
-    )
+    plain = SimulatedSSD(GEOMETRY, faults=faults())
+    sched = SimulatedSSD(GEOMETRY, faults=faults(), sched=True)
     log_sync = replay_sync_clocked(plain, commands)
     log_async = replay_async(sched, commands)
     assert log_sync == log_async
@@ -424,8 +314,8 @@ def test_scheduler_overlay_identical_quiescent_power_cut():
     async arm polls everything down before the cut (quiescent CQ)."""
     first = synthetic_commands(21, 1500)
     second = synthetic_commands(22, 1500)
-    plain = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched")
-    sched = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, fdp=True)
+    sched = SimulatedSSD(GEOMETRY, fdp=True, sched=True)
     assert replay_sync_clocked(plain, first) == replay_async(sched, first)
     assert plain.power_cut().torn_writes == sched.power_cut().torn_writes
     plain.recover()
@@ -433,13 +323,3 @@ def test_scheduler_overlay_identical_quiescent_power_cut():
     assert_identical_nontiming(plain, sched)
     assert replay_sync_clocked(plain, second) == replay_async(sched, second)
     assert_identical_nontiming(plain, sched)
-
-
-@pytest.mark.slow
-def test_differential_soak():
-    """Longer mixed soak at higher pressure (more GC wraps)."""
-    for seed in range(3):
-        commands = synthetic_commands(1000 + seed, 20_000, use_pids=True)
-        scalar, batched = make_pair(fdp=True)
-        assert replay(scalar, commands) == replay(batched, commands)
-        assert_identical(scalar, batched)

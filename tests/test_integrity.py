@@ -3,8 +3,8 @@
 Covers the PR 4 subsystem top to bottom: the deterministic latent-error
 model (read disturb, retention aging, silent corruption), per-page OOB
 CRCs and the host-read ECC outcome ladder, the background patrol
-scrubber (verify / refresh / retire, RUH-respecting relocation), the
-construction-time ``io_path`` gate, cache-layer degradation on
+scrubber (verify / refresh / retire, RUH-respecting relocation), fault
+and CRC hooks on multi-page writes, cache-layer degradation on
 poisoned pages, power-cut recovery across scrub relocations, and the
 integrity-soak acceptance criteria (zero undetected corruptions with
 the scrubber on; nonzero without it).
@@ -77,7 +77,6 @@ class TestLatentErrorConfig:
     def test_defaults_are_quiescent(self):
         cfg = LatentErrorConfig()
         assert not cfg.any_enabled
-        assert LatentErrorModel(cfg).corrupts_writes is False
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -103,7 +102,6 @@ class TestLatentErrorConfig:
             )
         cfg = LatentErrorConfig(plan=(ScriptedFault(op=OP_SILENT, lba=1),))
         assert cfg.any_enabled
-        assert LatentErrorModel(cfg).corrupts_writes
 
     def test_classify_ladder_ordering(self):
         model = LatentErrorModel(
@@ -230,7 +228,6 @@ class TestEndToEndCrc:
                 plan=(ScriptedFault(op=OP_SILENT, lba=5),)
             )
         )
-        assert dev.effective_io_path == "scalar"  # corrupting model
         for lba in range(8):
             dev.write(lba, payload=("t", lba))
         assert dev.latent.corruptions_injected == 1
@@ -441,40 +438,18 @@ class TestPatrolScrubber:
         dev.check_invariants()
 
 
-class TestIoPathGate:
-    """Satellite: the batched fast path must never silently disable
-    fault or corruption hooks — the gate is resolved at construction
-    and exposed as ``effective_io_path``."""
+def test_certain_program_fault_raises_on_multi_page_write():
+    # The fault model sees every page of a multi-page write.
+    dev = tiny_device(latent=None, faults=FaultConfig(program_fail_rate=1.0))
+    with pytest.raises(ProgramFailError):
+        dev.write(0, 4, payload="x")
 
-    def test_faults_force_scalar_and_hooks_fire(self):
-        dev = tiny_device(
-            latent=None,
-            faults=FaultConfig(program_fail_rate=1.0),
-            io_path="batched",
-        )
-        assert dev.io_path == "batched"
-        assert dev.effective_io_path == "scalar"
-        # The injector genuinely sees every page: a certain program
-        # failure must surface even though "batched" was requested.
-        with pytest.raises(ProgramFailError):
-            dev.write(0, 4, payload="x")
 
-    def test_corrupting_latent_forces_scalar(self):
-        dev = tiny_device(
-            latent=LatentErrorConfig(silent_corruption_rate=0.5),
-            io_path="batched",
-        )
-        assert dev.effective_io_path == "scalar"
-
-    def test_quiescent_latent_keeps_fast_path(self):
-        dev = tiny_device(io_path="batched")
-        assert dev.effective_io_path == "batched"
-        dev.write(0, 8, payload="x")  # extent write, CRC still stamped
-        assert dev.ftl._oob[dev.ftl._l2p[0]].crc == payload_crc("x")
-
-    def test_scalar_request_is_honoured(self):
-        dev = tiny_device(io_path="scalar")
-        assert dev.effective_io_path == "scalar"
+def test_multi_page_write_stamps_crcs():
+    dev = tiny_device()
+    dev.write(0, 8, payload="x")
+    crcs = {dev.ftl._oob[dev.ftl._l2p[lba]].crc for lba in range(8)}
+    assert crcs == {payload_crc("x")}
 
 
 class TestCacheDegradation:

@@ -1,12 +1,20 @@
-"""Property tests: extent splitting in the batched fast path.
+"""Property tests: multi-page writes against a shadow-dict oracle.
 
 Hypothesis drives arbitrary command streams — write extents sized to
 straddle reclaim-unit (superblock) boundaries, TRIMs, reads, multiple
-placement IDs, and an optional mid-stream power cut — through a scalar
-and a batched device.  Whatever GC triggers, write-point closes, or
-recovery the stream provokes, the final media state must be identical:
-the chunk splitting may never reorder work across a GC trigger point
-or a torn-write boundary relative to the per-page reference path.
+placement IDs, and an optional quiescent power cut + recovery (at
+the end of the stream if the drawn index falls past it) —
+through one device, while a plain dict records what the host was told:
+the payload of the last acknowledged write to each LBA.  Whatever GC,
+write-point closes, journal flushes or recovery the stream provokes,
+the device must agree with that record:
+
+* ``read_payload`` returns the last acknowledged payload for every LBA
+  and ``None`` once it has been TRIMmed (or never written);
+* a read reports "mapped" exactly when every page in range is live;
+* ``check_invariants`` holds;
+* ``host_pages_written`` counts every page the host wrote, and every
+  NAND program is either a host page or a GC migration.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fdp import PlacementIdentifier
 from repro.ssd import Geometry, SimulatedSSD
-from repro.ssd.errors import PowerLossError
 
 GEOMETRY = Geometry(
     page_size=4096,
@@ -27,8 +34,11 @@ GEOMETRY = Geometry(
 )
 PAGES_PER_SUPERBLOCK = GEOMETRY.pages_per_superblock
 SPAN = int(GEOMETRY.logical_pages * 0.75)
+# A short flush interval makes recovery lean on the durable journal
+# (not only the OOB scan of unjournaled pages) after a handful of pages.
+JOURNAL_FLUSH_INTERVAL = 8
 
-# Extents up to 2.5 reclaim units guarantee multi-chunk splits.
+# Extents up to 2.5 reclaim units cross superblock boundaries.
 command = st.one_of(
     st.tuples(
         st.just("write"),
@@ -51,56 +61,24 @@ command = st.one_of(
 )
 
 common = settings(
-    max_examples=30,
+    max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
 
-def replay(device, commands, use_pids, cut_at):
-    now = 0
-    log = []
-    for i, (op, lba, npages, ruh) in enumerate(commands):
-        if cut_at is not None and i == cut_at:
-            report = device.power_cut()
-            log.append(("cut", len(report.torn_writes)))
-            device.recover()
-        npages = min(npages, SPAN - lba)
-        try:
-            if op == "write":
-                pid = PlacementIdentifier(0, ruh) if use_pids else None
-                now = device.write(lba, npages, pid, now, ("t", i))
-                log.append(("w", now))
-            elif op == "trim":
-                log.append(("t", device.deallocate(lba, npages)))
-            else:
-                mapped, done = device.read(lba, npages, now)
-                now = done
-                log.append(("r", mapped, done))
-        except PowerLossError:  # pragma: no cover - fault-free devices
-            raise AssertionError("unexpected power loss")
-    return log
+def assert_matches_shadow(device, shadow):
+    assert device.read_payload(0, SPAN) == [
+        shadow.get(lba) for lba in range(SPAN)
+    ]
 
 
-def media_state(device):
-    ftl = device.ftl
-    return (
-        ftl._l2p,
-        ftl._p2l,
-        [
-            None if rec is None
-            else (rec.lba, rec.seq, rec.stream, rec.payload, rec.ok)
-            for rec in ftl._oob
-        ],
-        [
-            (sb.state, sb.write_ptr, sb.valid_pages, sb.erase_count)
-            for sb in ftl.superblocks
-        ],
-        ftl._journal.buffer,
-        ftl._journal.flushed,
-        device.snapshot(),
-        ftl.latency.busy_until,
-    )
+def cut_and_recover(device, shadow):
+    # Quiescent cut: every command already completed, so no
+    # acknowledged write may be torn or lost by recovery.
+    assert not device.power_cut().torn_writes
+    device.recover()
+    assert_matches_shadow(device, shadow)
 
 
 @given(
@@ -109,13 +87,39 @@ def media_state(device):
     cut_at=st.none() | st.integers(min_value=0, max_value=119),
 )
 @common
-def test_batched_extents_match_per_page_path(commands, use_pids, cut_at):
-    fdp = use_pids
-    scalar = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="scalar")
-    batched = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="batched")
-    log_s = replay(scalar, commands, use_pids, cut_at)
-    log_b = replay(batched, commands, use_pids, cut_at)
-    assert log_s == log_b
-    assert media_state(scalar) == media_state(batched)
-    scalar.check_invariants()
-    batched.check_invariants()
+def test_extents_match_shadow_oracle(commands, use_pids, cut_at):
+    device = SimulatedSSD(
+        GEOMETRY, fdp=use_pids, journal_flush_interval=JOURNAL_FLUSH_INTERVAL
+    )
+    shadow = {}
+    pages_written = 0
+    now = 0
+    for i, (op, lba, npages, ruh) in enumerate(commands):
+        if i == cut_at:
+            cut_and_recover(device, shadow)
+        npages = min(npages, SPAN - lba)
+        if op == "write":
+            pid = PlacementIdentifier(0, ruh) if use_pids else None
+            payload = ("t", i)
+            now = device.write(lba, npages, pid, now, payload)
+            for cur in range(lba, lba + npages):
+                shadow[cur] = payload
+            pages_written += npages
+        elif op == "trim":
+            device.deallocate(lba, npages)
+            for cur in range(lba, lba + npages):
+                shadow.pop(cur, None)
+        else:
+            mapped, now = device.read(lba, npages, now)
+            assert mapped == all(
+                cur in shadow for cur in range(lba, lba + npages)
+            )
+    if cut_at is not None and cut_at >= len(commands):
+        cut_and_recover(device, shadow)
+    assert_matches_shadow(device, shadow)
+    device.check_invariants()
+    stats = device.snapshot()
+    assert stats.host_pages_written == pages_written
+    assert stats.nand_pages_written == (
+        stats.host_pages_written + stats.gc_pages_migrated
+    )

@@ -53,7 +53,7 @@ def test_perf_counter_scoped_to_harness(tmp_path):
     assert lint_source(tmp_path, source, "ssd/device.py")
     assert lint_source(tmp_path, source, "fleet/router.py")
     assert lint_source(tmp_path, source, "bench/fleet.py") == []
-    assert lint_source(tmp_path, source, "tools/iobench.py") == []
+    assert lint_source(tmp_path, source, "tools/cachebench.py") == []
 
 
 def test_simulated_time_attributes_untouched(tmp_path):
